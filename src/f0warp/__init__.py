@@ -70,7 +70,6 @@ from .pitch import (
     UtteranceF0,
     detect_pitch,
     median_f0,
-    normalized_difference_detector,
 )
 from .synthkit import (
     VowelSpec,

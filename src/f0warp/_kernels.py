@@ -1,54 +1,9 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
-
-Two lanes exist for every kernel: a numba ``@njit`` build of the loop
-implementation and a vectorized numpy/scipy fallback.  The lane is picked
-once at import time; set ``F0WARP_NO_NUMBA=1`` (before importing) to force
-the fallback.  ``benchmarks/bench_kernels.py`` times both lanes.
-"""
-
-from __future__ import annotations
-
-import os
+"""The pitch tracker's hot kernel: the normalized difference function."""
 
 import numpy as np
 
 
-def _numba_disabled_by_env() -> bool:
-    value = os.environ.get("F0WARP_NO_NUMBA", "").strip().lower()
-    return value not in ("", "0", "false", "no")
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _numba_disabled_by_env()
-
-
-def _cumulative_mean_difference_loop(frames, tau_max, span):
-    n_frames = frames.shape[0]
-    out = np.ones((n_frames, tau_max + 1))
-    for t in range(n_frames):
-        x = frames[t]
-        running = 0.0
-        for tau in range(1, tau_max + 1):
-            acc = 0.0
-            for j in range(span):
-                diff = x[j] - x[j + tau]
-                acc += diff * diff
-            running += acc
-            if running > 0.0:
-                out[t, tau] = acc * tau / running
-            else:
-                out[t, tau] = 1.0
-    return out
-
-
-def cumulative_mean_difference_numpy(frames, tau_max, span):
+def cumulative_mean_difference(frames, tau_max, span):
     """Cumulative-mean-normalized difference function, one row per frame.
 
     ``d[t, tau] = sum_j (x[t, j] - x[t, j + tau])**2`` over ``j < span``,
@@ -72,47 +27,3 @@ def cumulative_mean_difference_numpy(frames, tau_max, span):
     out = np.ones((n_frames, tau_max + 1))
     out[:, 1:] = norm
     return out
-
-
-def _resonator_cascade_loop(source, a1, a2, gain):
-    y = source.copy()
-    n = y.shape[0]
-    for s in range(a1.shape[0]):
-        c1 = a1[s]
-        c2 = a2[s]
-        g = gain[s]
-        y1 = 0.0
-        y2 = 0.0
-        for i in range(n):
-            cur = g * y[i] - c1 * y1 - c2 * y2
-            y2 = y1
-            y1 = cur
-            y[i] = cur
-    return y
-
-
-def resonator_cascade_numpy(source, a1, a2, gain):
-    """Run a signal through cascaded two-pole sections (scipy lane)."""
-    from scipy.signal import lfilter
-
-    y = np.ascontiguousarray(source, dtype=np.float64)
-    for c1, c2, g in zip(a1, a2, gain):
-        y = lfilter([g], [1.0, c1, c2], y)
-    return y
-
-
-if _HAVE_NUMBA:
-    cumulative_mean_difference_numba = njit(cache=True, nogil=True)(
-        _cumulative_mean_difference_loop
-    )
-    resonator_cascade_numba = njit(cache=True, nogil=True)(_resonator_cascade_loop)
-else:  # pragma: no cover
-    cumulative_mean_difference_numba = None
-    resonator_cascade_numba = None
-
-if NUMBA_ENABLED:
-    cumulative_mean_difference = cumulative_mean_difference_numba
-    resonator_cascade = resonator_cascade_numba
-else:
-    cumulative_mean_difference = cumulative_mean_difference_numpy
-    resonator_cascade = resonator_cascade_numpy

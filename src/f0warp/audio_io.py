@@ -61,10 +61,6 @@ class AudioBuffer:
     def duration(self) -> float:
         return self.samples.shape[0] / self.sample_rate
 
-    def is_too_short(self, window_samples: int = 400) -> bool:
-        """True when the buffer cannot fill one analysis window."""
-        return self.samples.shape[0] < window_samples
-
 
 def read_wav(path, source_id: str | None = None) -> AudioBuffer:
     """Read a RIFF/WAVE file into an AudioBuffer.

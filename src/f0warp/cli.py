@@ -8,19 +8,22 @@ import sys
 
 import numpy as np
 
-from .audio_io import AudioIOError, read_wav, write_wav
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
 from .augment import make_plan
 from .errors import DomainError, TooShort
 from .melwarp import (
     BASELINE_HI_FREQ,
     LOG_MEL,
+    MAX_ABS_SHIFT_MEL,
     MFCC,
     WARPED_HI_FREQ,
     EmptyFilter,
     FeatureConfig,
     compute_warp,
     extract_features,
+    hz_to_mel,
     identity_warp,
+    mel_to_hz,
 )
 from .pipeline import (
     MatrixFormatError,
@@ -28,6 +31,7 @@ from .pipeline import (
     process_dataset,
     read_manifest,
     read_matrix,
+    write_matrix,
 )
 from .pitch import PitchConfig, detect_pitch, median_f0
 from .synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
@@ -108,14 +112,16 @@ def _pitch_config(args) -> PitchConfig:
 
 def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
     hi = args.hi_freq
+    nyquist_mel = hz_to_mel(REQUIRED_SAMPLE_RATE / 2)
     if hi is None:
         hi = WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
-    elif warped and hi == BASELINE_HI_FREQ:
+    elif warped and hz_to_mel(hi) + MAX_ABS_SHIFT_MEL > nyquist_mel:
+        limit = int(mel_to_hz(nyquist_mel - MAX_ABS_SHIFT_MEL))
         raise UsageError(
-            "--hi-freq 8000 conflicts with warped extraction: shifts of up to"
-            " 250 Mels would push the top filter past Nyquist, so warped modes"
-            f" use a {WARPED_HI_FREQ:.0f} Hz ceiling (leave --hi-freq unset or"
-            " pick a value at or below 6200)"
+            f"--hi-freq {hi:g} conflicts with warped extraction: a shift of"
+            f" {MAX_ABS_SHIFT_MEL:g} Mels would push the top filter past Nyquist,"
+            f" so warped ceilings must be at or below {limit} Hz (leave --hi-freq"
+            f" unset for {WARPED_HI_FREQ:g} Hz)"
         )
     try:
         return FeatureConfig(
@@ -183,8 +189,6 @@ def _extract_like(args, kind: str) -> int:
         warp = identity_warp(args.f0_def)
         fallback = False
     matrix = extract_features(buffer, cfg, warp)
-    from .pipeline import write_matrix
-
     write_matrix(args.out, matrix.values)
     _emit(
         {

@@ -1,19 +1,16 @@
 """Per-frame f0 estimation and the utterance-level median pitch.
 
-The reference detector is a band-limited normalized-difference tracker:
-each frame's cumulative-mean-normalized difference function is searched
-for its first deep dip in the candidate lag range, the dip is refined by
+The detector is a band-limited normalized-difference tracker: each
+frame's cumulative-mean-normalized difference function is searched for
+its first deep dip in the candidate lag range, the dip is refined by
 parabolic interpolation, and ``1 - dip depth`` serves as a periodicity
-score in [0, 1].  The detector is pluggable: pass any callable with the
-same ``(AudioBuffer, PitchConfig) -> PitchTrack`` contract to
-:func:`detect_pitch` to swap in another algorithm.
+score in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
@@ -26,6 +23,10 @@ from .errors import DomainError, TooShort
 # candidate selection; deeper than any subharmonic dip of real speech but
 # comfortably above the noise floor of a periodic frame.
 DIP_THRESHOLD = 0.2
+# How far above the row's deepest dip an accepted dip may sit, so dips at
+# a fraction of the period (F1 near a low harmonic) are passed over, as
+# with the relative threshold of McLeod & Wyvill's MPM (2005).
+DIP_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class PitchFrame:
     """One analysis frame: center time, f0 (None when unvoiced), score."""
 
     time: float
-    f0: Optional[float]
+    f0: float | None
     periodicity: float
 
     @property
@@ -76,9 +77,6 @@ class UtteranceF0:
     fallback_used: bool
 
 
-PitchDetector = Callable[[AudioBuffer, PitchConfig], PitchTrack]
-
-
 def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
     """Zero-phase low-pass keeping the fundamental and low harmonics."""
     cutoff = min(2.4 * f0_max, 0.45 * sample_rate)
@@ -99,16 +97,19 @@ def _parabolic_minimum(row: np.ndarray, tau: int) -> float:
     return tau + min(max(offset, -1.0), 1.0)
 
 
-def _pick_lag(row: np.ndarray, tau_min: int, tau_max: int) -> int:
-    """First local minimum below DIP_THRESHOLD, else the global minimum.
+def _pick_lag(row: np.ndarray, tau_min: int, tau_max: int, floor: float) -> int:
+    """First local minimum below DIP_THRESHOLD and within DIP_TOLERANCE of
+    ``floor`` (the row's minimum over the lag range), else the global one.
 
     Taking the first deep dip rather than the deepest one avoids the
-    octave-down errors a plain argmax/argmin makes on strongly periodic
-    frames, where dips at 2x and 3x the period are equally deep.
+    octave-down errors a plain argmin makes on strongly periodic frames,
+    where dips at 2x and 3x the period are equally deep.
     """
+    limit = floor + DIP_TOLERANCE
     for tau in range(tau_min, tau_max):
         if (
             row[tau] < DIP_THRESHOLD
+            and row[tau] <= limit
             and row[tau] <= row[tau - 1]
             and row[tau] <= row[tau + 1]
         ):
@@ -116,10 +117,11 @@ def _pick_lag(row: np.ndarray, tau_min: int, tau_max: int) -> int:
     return tau_min + int(np.argmin(row[tau_min:tau_max + 1]))
 
 
-def normalized_difference_detector(
-    buffer: AudioBuffer, cfg: PitchConfig
-) -> PitchTrack:
-    """Reference detector (see module docstring for the algorithm)."""
+def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
+    """Track f0 over a buffer (see module docstring for the algorithm)."""
+    cfg = cfg if cfg is not None else PitchConfig()
+    if cfg.f0_max >= buffer.sample_rate / 2:
+        raise DomainError("f0_max must be below Nyquist")
     sr = buffer.sample_rate
     win = int(round(cfg.window * sr))
     hop = int(round(cfg.shift * sr))
@@ -140,11 +142,12 @@ def normalized_difference_detector(
         np.lib.stride_tricks.sliding_window_view(banded, win)[::hop][:n_frames]
     )
     dprime = _kernels.cumulative_mean_difference(frames, tau_max, span)
+    floors = dprime[:, tau_min:tau_max + 1].min(axis=1)
 
     out = []
     for t in range(n_frames):
         row = dprime[t]
-        tau = _pick_lag(row, tau_min, tau_max)
+        tau = _pick_lag(row, tau_min, tau_max, floors[t])
         periodicity = min(max(1.0 - row[tau], 0.0), 1.0)
         f0 = None
         if periodicity >= cfg.voicing_threshold:
@@ -153,19 +156,6 @@ def normalized_difference_detector(
         time = (t * hop + win / 2) / sr
         out.append(PitchFrame(time=time, f0=f0, periodicity=periodicity))
     return PitchTrack(frames=tuple(out), frame_shift=hop / sr)
-
-
-def detect_pitch(
-    buffer: AudioBuffer,
-    cfg: PitchConfig | None = None,
-    detector: PitchDetector | None = None,
-) -> PitchTrack:
-    """Run a pitch detector over a buffer (reference detector by default)."""
-    cfg = cfg if cfg is not None else PitchConfig()
-    if cfg.f0_max >= buffer.sample_rate / 2:
-        raise DomainError("f0_max must be below Nyquist")
-    detector = detector if detector is not None else normalized_difference_detector
-    return detector(buffer, cfg)
 
 
 def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:

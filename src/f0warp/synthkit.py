@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.signal import lfilter
 
-from . import _kernels
 from .audio_io import AudioBuffer
 from .errors import DomainError
 from .melwarp import hz_to_mel, mel_to_hz
@@ -94,6 +94,14 @@ def resonator_coefficients(formants, bandwidths, sample_rate: int):
     return a1, a2, gain
 
 
+def resonator_cascade(source, a1, a2, gain):
+    """Run a signal through cascaded two-pole sections."""
+    y = np.ascontiguousarray(source, dtype=np.float64)
+    for c1, c2, g in zip(a1, a2, gain):
+        y = lfilter([g], [1.0, c1, c2], y)
+    return y
+
+
 def synth_vowel(spec: VowelSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
     """Impulse train at ``spec.f0`` through the three formant resonators."""
     if spec.formants[-1] >= sample_rate / 2:
@@ -101,7 +109,7 @@ def synth_vowel(spec: VowelSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Audi
     n = int(round(spec.duration * sample_rate))
     source = _harmonic_sum(spec.f0, n, sample_rate)
     a1, a2, gain = resonator_coefficients(spec.formants, spec.bandwidths, sample_rate)
-    y = _kernels.resonator_cascade(source, a1, a2, gain)
+    y = resonator_cascade(source, a1, a2, gain)
     y = _peak_normalize(y, spec.amplitude)
     return AudioBuffer(y, sample_rate, source_id=f"vowel-{spec.f0:g}hz")
 

@@ -115,11 +115,6 @@ def test_buffer_rejects_nonfinite():
         AudioBuffer(np.array([np.nan]), 16000)
 
 
-def test_too_short_flag():
-    assert AudioBuffer(np.zeros(399), 16000).is_too_short()
-    assert not AudioBuffer(np.zeros(400), 16000).is_too_short()
-
-
 def test_source_id_override(tmp_path):
     path = tmp_path / "named.wav"
     write_wav(path, AudioBuffer(np.zeros(500), 16000))

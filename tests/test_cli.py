@@ -164,6 +164,41 @@ def test_hi_freq_8000_with_normalize_is_usage_error(tmp_path, wav, capsys):
     assert "6200" in capsys.readouterr().err
 
 
+def _warped_run(tmp_path, wav, command, hi_freq):
+    if command == "extract":
+        args = ["extract", "--in", str(wav), "--out", str(tmp_path / "x.mwf")]
+    else:
+        manifest = tmp_path / "m.jsonl"
+        write_manifest(manifest, [{"id": "a", "audio": str(wav)}])
+        args = ["process", "--manifest", str(manifest),
+                "--out", str(tmp_path / "arch")]
+    return main(args + ["--normalize", "--hi-freq", hi_freq])
+
+
+@pytest.mark.parametrize("command", ["extract", "process"])
+@pytest.mark.parametrize("hi_freq", ["7500", "7990"])
+def test_warped_ceiling_past_shift_headroom_is_usage_error(
+    tmp_path, wav, capsys, command, hi_freq
+):
+    # A +250 Mel shift of a ceiling above ~6269 Hz reads past Nyquist.
+    assert _warped_run(tmp_path, wav, command, hi_freq) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--hi-freq {hi_freq}" in err
+    assert "6269" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "process"])
+def test_warped_ceiling_6200_accepted(tmp_path, wav, capsys, command):
+    assert _warped_run(tmp_path, wav, command, "6200") == EXIT_OK
+
+
+def test_hi_freq_8000_accepted_without_warping(tmp_path, wav, capsys):
+    out = tmp_path / "a.mwf"
+    assert main(["extract", "--in", str(wav), "--out", str(out),
+                 "--hi-freq", "8000"]) == EXIT_OK
+    assert _last_json(capsys)["hi_freq"] == 8000.0
+
+
 def test_fbank_outputs_filterbank_dims(tmp_path, wav, capsys):
     out = tmp_path / "a.mwf"
     assert main(["fbank", "--in", str(wav), "--out", str(out)]) == EXIT_OK

@@ -8,9 +8,12 @@ from f0warp import (
     PitchFrame,
     PitchTrack,
     TooShort,
+    VowelSpec,
     detect_pitch,
     median_f0,
+    shift_vowel_for_f0,
     synth_harmonic,
+    synth_vowel,
 )
 from tests.conftest import noisy_harmonic
 
@@ -85,14 +88,15 @@ class TestDetector:
                 AudioBuffer(np.zeros(SR), SR), PitchConfig(f0_max=9000.0)
             )
 
-    def test_detector_is_pluggable(self):
-        canned = PitchTrack(
-            frames=(PitchFrame(0.02, 123.0, 0.9),), frame_shift=0.01
-        )
-        got = detect_pitch(
-            AudioBuffer(np.zeros(SR), SR), detector=lambda buf, cfg: canned
-        )
-        assert got is canned
+    def test_vowel_a_at_234hz_does_not_lock_on_half_period(self):
+        # Moved to 233.9 Hz, vowel a has F1 (969 Hz) near harmonic 4, so d'
+        # dips just below DIP_THRESHOLD at half the period (~0.2), far above
+        # its dip at the period (~0.01).
+        ref = VowelSpec(f0=100.0, formants=(730.0, 1090.0, 2440.0),
+                        bandwidths=(60.0, 90.0, 150.0))
+        vowel = synth_vowel(shift_vowel_for_f0(ref, 233.9))
+        uf = median_f0(detect_pitch(vowel), 100.0)
+        assert abs(uf.f0_utt - 233.9) <= 1.0
 
     def test_determinism(self):
         buf = noisy_harmonic(170.0, seed=11)

@@ -15,9 +15,8 @@ from f0warp import (
     synth_harmonic,
     synth_vowel,
 )
-from f0warp import _kernels
 from f0warp.melwarp import LOG_MEL
-from f0warp.synthkit import resonator_coefficients
+from f0warp.synthkit import resonator_cascade, resonator_coefficients
 
 SR = 16000
 
@@ -73,7 +72,7 @@ class TestSynthVowel:
         impulse[0] = 1.0
         bin_width = SR / 4096
         for section, formant in enumerate(IY_SPEC.formants):
-            response = _kernels.resonator_cascade(
+            response = resonator_cascade(
                 impulse, a1[section : section + 1], a2[section : section + 1],
                 gain[section : section + 1],
             )
@@ -89,7 +88,7 @@ class TestSynthVowel:
         impulse = np.zeros(4096)
         impulse[0] = 1.0
         magnitude = np.abs(
-            np.fft.rfft(_kernels.resonator_cascade(impulse, a1, a2, gain), 4096)
+            np.fft.rfft(resonator_cascade(impulse, a1, a2, gain), 4096)
         )
         bin_width = SR / 4096
         for formant in IY_SPEC.formants:
