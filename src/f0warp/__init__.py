@@ -35,7 +35,6 @@ from .melwarp import (
     EmptyFilter,
     FeatureConfig,
     FeatureMatrix,
-    FeatureMeta,
     MelFilterbank,
     WarpSpec,
     build_filterbank,

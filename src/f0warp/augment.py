@@ -16,7 +16,6 @@ from .audio_io import AudioBuffer
 from .errors import DomainError
 from .melwarp import (
     FeatureConfig,
-    FeatureMatrix,
     compute_warp,
     extract_features,
     hz_to_mel,
@@ -80,22 +79,17 @@ def augment_utterance(
     buffer: AudioBuffer,
     cfg: FeatureConfig,
     plan: AugmentationPlan,
-    normalize: bool,
     f0_utt: UtteranceF0,
 ) -> list:
-    """One FeatureMatrix per plan entry.
+    """One FeatureMatrix per plan entry, warped from ``f0_utt.f0_utt``.
 
-    With ``normalize`` the utterance median pitch drives the warp; without
-    it the plan's base stands in, so each variant's shift equals its plan
-    entry exactly.  Every matrix's metadata records its shift and whether
-    the unvoiced-utterance fallback was taken.
+    Callers that do not normalize pass the plan's base as ``f0_utt``, so
+    each variant's shift equals its plan entry exactly.  Every matrix
+    records its plan shift and whether the unvoiced-utterance fallback was
+    taken.
     """
-    u = f0_utt.f0_utt if normalize else plan.base_f0_def
-    fallback = f0_utt.fallback_used if normalize else False
     out = []
     for shift, f0_def in plan.entries():
-        warp = compute_warp(u, f0_def)
-        fm = extract_features(buffer, cfg, warp)
-        meta = replace(fm.meta, shift_mel=shift, fallback_used=fallback)
-        out.append(FeatureMatrix(fm.values, meta))
+        fm = extract_features(buffer, cfg, compute_warp(f0_utt.f0_utt, f0_def))
+        out.append(replace(fm, shift_mel=shift, fallback_used=f0_utt.fallback_used))
     return out

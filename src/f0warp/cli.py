@@ -33,7 +33,7 @@ from .pipeline import (
     read_matrix,
     write_matrix,
 )
-from .pitch import PitchConfig, detect_pitch, median_f0
+from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
 from .synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
 
 EXIT_OK = 0
@@ -50,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
 
 
 def _float_list(text: str) -> tuple:
@@ -182,12 +188,10 @@ def _extract_like(args, kind: str) -> int:
     cfg = _feature_config(args, warped=args.normalize, kind=kind)
     buffer = read_wav(args.infile)
     if args.normalize:
-        f0_utt = median_f0(detect_pitch(buffer, _pitch_config(args)), args.f0_def)
-        warp = compute_warp(f0_utt.f0_utt, args.f0_def)
-        fallback = f0_utt.fallback_used
+        f0 = median_f0(detect_pitch(buffer, _pitch_config(args)), args.f0_def)
     else:
-        warp = identity_warp(args.f0_def)
-        fallback = False
+        f0 = UtteranceF0(args.f0_def, 0, False)
+    warp = compute_warp(f0.f0_utt, args.f0_def)
     matrix = extract_features(buffer, cfg, warp)
     write_matrix(args.out, matrix.values)
     _emit(
@@ -201,7 +205,7 @@ def _extract_like(args, kind: str) -> int:
             "f0_def": warp.f0_def,
             "delta_mel": warp.delta_mel,
             "clamped": warp.clamped,
-            "fallback_used": fallback,
+            "fallback_used": f0.fallback_used,
         }
     )
     return EXIT_OK
@@ -372,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matrix contents (default: mfcc)")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first failed utterance")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: F0WARP_WORKERS or cpu count)")
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker threads (default: cpu count, at most 8)")
     _add_feature_flags(p)
     _add_pitch_flags(p)
     p.set_defaults(func=cmd_process)

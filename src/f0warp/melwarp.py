@@ -11,10 +11,7 @@ f0_def) pairs with the same shift produce identical features.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -154,25 +151,6 @@ class FeatureConfig:
     def dims(self) -> int:
         return self.num_ceps if self.feature_kind == MFCC else self.num_filters
 
-    def fingerprint(self) -> str:
-        """Short stable hash of all parameters, recorded in metadata."""
-        payload = json.dumps(
-            {
-                "window": self.window,
-                "hop": self.hop,
-                "dft_size": self.dft_size,
-                "num_filters": self.num_filters,
-                "lo_freq": self.lo_freq,
-                "hi_freq": self.hi_freq,
-                "num_ceps": self.num_ceps,
-                "preemphasis": self.preemphasis,
-                "log_floor": self.log_floor,
-                "feature_kind": self.feature_kind,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
 
 @dataclass(frozen=True)
 class MelFilterbank:
@@ -271,21 +249,14 @@ def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureMeta:
-    source_id: str
-    warp: WarpSpec
-    config_fingerprint: str
-    feature_kind: str
-    shift_mel: Optional[float] = None
-    fallback_used: bool = False
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
-    """frames x dims feature values plus provenance metadata."""
+    """frames x dims feature values, the warp that produced them, and the
+    plan shift and unvoiced fallback of the variant they belong to."""
 
     values: np.ndarray
-    meta: FeatureMeta = field(repr=False)
+    warp: WarpSpec
+    shift_mel: float = 0.0
+    fallback_used: bool = False
 
     @property
     def num_frames(self) -> int:
@@ -325,10 +296,4 @@ def extract_features(
     feats = np.log(np.maximum(energies, cfg.log_floor))
     if cfg.feature_kind == MFCC:
         feats = scipy.fft.dct(feats, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
-    meta = FeatureMeta(
-        source_id=buffer.source_id,
-        warp=warp,
-        config_fingerprint=cfg.fingerprint(),
-        feature_kind=cfg.feature_kind,
-    )
-    return FeatureMatrix(np.ascontiguousarray(feats), meta)
+    return FeatureMatrix(np.ascontiguousarray(feats), warp)

@@ -12,7 +12,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +24,6 @@ from .melwarp import FeatureConfig
 from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
 
 MATRIX_MAGIC = b"MWF1"
-WORKERS_ENV_VAR = "F0WARP_WORKERS"
 
 
 class ParseError(ValueError):
@@ -120,20 +119,7 @@ class ArchiveRecord:
     path: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "shift_mel": self.shift_mel,
-                "f0_utt": self.f0_utt,
-                "f0_def": self.f0_def,
-                "delta_mel": self.delta_mel,
-                "clamped": self.clamped,
-                "fallback_used": self.fallback_used,
-                "frames": self.frames,
-                "dims": self.dims,
-                "path": self.path,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -145,15 +131,6 @@ class BatchResult:
     @property
     def fully_succeeded(self) -> bool:
         return not self.failures
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None and workers > 0:
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def process_dataset(
@@ -188,18 +165,18 @@ def process_dataset(
         else:
             f0_utt = UtteranceF0(plan.base_f0_def, 0, False)
         records = []
-        for matrix in augment_utterance(buffer, cfg, plan, normalize, f0_utt):
-            rel_path = variant_key(entry.id, matrix.meta.shift_mel) + ".mwf"
+        for matrix in augment_utterance(buffer, cfg, plan, f0_utt):
+            rel_path = variant_key(entry.id, matrix.shift_mel) + ".mwf"
             write_matrix(out / rel_path, matrix.values)
             records.append(
                 ArchiveRecord(
                     id=entry.id,
-                    shift_mel=matrix.meta.shift_mel,
-                    f0_utt=matrix.meta.warp.f0_utt,
-                    f0_def=matrix.meta.warp.f0_def,
-                    delta_mel=matrix.meta.warp.delta_mel,
-                    clamped=matrix.meta.warp.clamped,
-                    fallback_used=matrix.meta.fallback_used,
+                    shift_mel=matrix.shift_mel,
+                    f0_utt=matrix.warp.f0_utt,
+                    f0_def=matrix.warp.f0_def,
+                    delta_mel=matrix.warp.delta_mel,
+                    clamped=matrix.warp.clamped,
+                    fallback_used=matrix.fallback_used,
                     frames=matrix.num_frames,
                     dims=matrix.dims,
                     path=rel_path,
@@ -209,8 +186,9 @@ def process_dataset(
 
     records: list = []
     failures: list = []
-    n_workers = _resolve_workers(workers)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if workers is None:
+        workers = min(8, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [(entry, pool.submit(process_one, entry)) for entry in entries]
         for entry, future in futures:
             try:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 from pathlib import Path
 
@@ -25,13 +24,13 @@ def noisy_harmonic(f0, duration=1.0, snr_db=20.0, seed=0):
     return AudioBuffer(buf.samples + noise, SAMPLE_RATE, f"noisy-{f0:g}hz")
 
 
-def archive_hash(directory) -> str:
-    digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
-        if path.is_file():
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
+def archive_contents(directory) -> list:
+    """(name, bytes) of every file under ``directory``, in path order."""
+    return [
+        (path.name, path.read_bytes())
+        for path in sorted(Path(directory).rglob("*"))
+        if path.is_file()
+    ]
 
 
 def write_manifest(path, entries) -> None:

@@ -37,7 +37,7 @@ from f0warp.pipeline import variant_key
 from f0warp.pitch import UtteranceF0
 from f0warp.synthkit import VowelSpec
 from tests.conftest import (
-    archive_hash,
+    archive_contents,
     make_wav_dataset,
     noisy_harmonic,
     write_manifest,
@@ -190,15 +190,15 @@ def test_c7_fan_out_and_archive_determinism(tmp_path):
     cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
     plan = make_plan(100.0)
 
-    hashes = []
+    archives = []
     for name, workers in (("a1", 1), ("a2", 4), ("a3", 4)):
         result = process_dataset(
             parsed, tmp_path / name, cfg, plan, normalize=True, workers=workers
         )
         assert len(result.records) == 70
         assert not result.failures
-        hashes.append(archive_hash(tmp_path / name))
-    assert hashes[0] == hashes[1] == hashes[2]
+        archives.append(archive_contents(tmp_path / name))
+    assert archives[0] == archives[1] == archives[2]
     _report(7, "70 records; archives byte-identical across reruns and workers")
 
 

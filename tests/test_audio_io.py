@@ -75,6 +75,12 @@ def test_compressed_format_rejected(tmp_path):
         b"not a wav at all",
         b"RIFF\x10\x00\x00\x00JUNK",
         b"RIFF\x04\x00\x00\x00WAVE",  # no chunks at all
+        pytest.param(
+            b"RIFF\xf0\x00\x00\x00WAVEfmt \x10\x00\x00\x00"
+            + struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+            + b"data\xf0\xff\xff\xff" + b"\x00" * 200,
+            id="data-chunk-declares-0xFFFFFFF0-bytes-holds-200",
+        ),
     ],
 )
 def test_corrupt_rejected(tmp_path, blob):

@@ -63,58 +63,58 @@ class TestMakePlan:
 
 
 class TestAugmentUtterance:
-    def _run(self, normalize, f0_utt):
+    def _run(self, f0_utt):
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
         plan = make_plan(100.0)
-        return augment_utterance(_buffer(), cfg, plan, normalize, f0_utt), plan, cfg
+        return augment_utterance(_buffer(), cfg, plan, f0_utt), plan, cfg
 
     def test_fan_out_cardinality(self):
-        mats, plan, _ = self._run(True, UtteranceF0(270.0, 40, False))
+        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
         assert len(mats) == len(plan) == 7
 
     def test_delta_composition(self):
-        mats, plan, _ = self._run(True, UtteranceF0(270.0, 40, False))
+        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
         base_term = hz_to_mel(270.0) - hz_to_mel(100.0)
         for matrix, shift in zip(mats, plan.shifts_mel):
-            raw = hz_to_mel(270.0) - hz_to_mel(matrix.meta.warp.f0_def)
+            raw = hz_to_mel(270.0) - hz_to_mel(matrix.warp.f0_def)
             assert raw == pytest.approx(base_term + shift, abs=1e-9)
             expected = min(max(base_term + shift, -MAX_ABS_SHIFT_MEL), MAX_ABS_SHIFT_MEL)
-            assert matrix.meta.warp.delta_mel == pytest.approx(expected, abs=1e-9)
+            assert matrix.warp.delta_mel == pytest.approx(expected, abs=1e-9)
 
     def test_clamped_variants_kept_and_flagged(self):
-        mats, plan, _ = self._run(True, UtteranceF0(270.0, 40, False))
+        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
         # 270 Hz puts the base shift at ~217 Mels, so +40 and +60 clamp
-        flagged = {s for m, s in zip(mats, plan.shifts_mel) if m.meta.warp.clamped}
+        flagged = {s for m, s in zip(mats, plan.shifts_mel) if m.warp.clamped}
         assert flagged == {40.0, 60.0}
         assert len(mats) == 7
 
     def test_zero_shift_variant_matches_plain_normalized_extraction(self):
-        mats, plan, cfg = self._run(True, UtteranceF0(270.0, 40, False))
+        mats, plan, cfg = self._run(UtteranceF0(270.0, 40, False))
         plain = extract_features(_buffer(), cfg, compute_warp(270.0, 100.0))
         zero_index = plan.shifts_mel.index(0.0)
         assert np.array_equal(mats[zero_index].values, plain.values)
 
     def test_unnormalized_zero_shift_matches_baseline_extraction(self):
-        mats, plan, cfg = self._run(False, UtteranceF0(999.0, 10, False))
+        mats, plan, cfg = self._run(UtteranceF0(100.0, 0, False))
         plain = extract_features(_buffer(), cfg, compute_warp(100.0, 100.0))
         zero_index = plan.shifts_mel.index(0.0)
         assert np.array_equal(mats[zero_index].values, plain.values)
-        assert mats[zero_index].meta.warp.delta_mel == 0.0
+        assert mats[zero_index].warp.delta_mel == 0.0
 
     def test_unvoiced_fallback_gives_shift_only_deltas(self):
-        mats, plan, _ = self._run(True, UtteranceF0(100.0, 0, True))
+        mats, plan, _ = self._run(UtteranceF0(100.0, 0, True))
         for matrix, shift in zip(mats, plan.shifts_mel):
-            assert matrix.meta.warp.delta_mel == pytest.approx(shift, abs=1e-9)
-            assert matrix.meta.fallback_used
+            assert matrix.warp.delta_mel == pytest.approx(shift, abs=1e-9)
+            assert matrix.fallback_used
 
     def test_metadata_records_shift(self):
-        mats, plan, _ = self._run(True, UtteranceF0(200.0, 12, False))
-        assert [m.meta.shift_mel for m in mats] == list(plan.shifts_mel)
+        mats, plan, _ = self._run(UtteranceF0(200.0, 12, False))
+        assert [m.shift_mel for m in mats] == list(plan.shifts_mel)
 
     def test_fan_out_for_unnormalized_mode(self):
-        mats, plan, _ = self._run(False, UtteranceF0(100.0, 0, False))
+        mats, plan, _ = self._run(UtteranceF0(100.0, 0, False))
         assert len(mats) == 7
         for matrix, shift in zip(mats, plan.shifts_mel):
-            assert matrix.meta.warp.f0_utt == 100.0
-            assert matrix.meta.warp.delta_mel == pytest.approx(shift, abs=1e-9)
-            assert not matrix.meta.fallback_used
+            assert matrix.warp.f0_utt == 100.0
+            assert matrix.warp.delta_mel == pytest.approx(shift, abs=1e-9)
+            assert not matrix.fallback_used

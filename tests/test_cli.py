@@ -228,6 +228,18 @@ def test_process_end_to_end(tmp_path, capsys):
     assert (out_dir / "index.jsonl").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_process_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, make_wav_dataset(tmp_path, (95.0,)))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
+              "--workers", workers])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "arch").exists()
+
+
 def test_process_partial_failure_exits_2(tmp_path, capsys):
     entries = make_wav_dataset(tmp_path, (95.0,))
     entries.append({"id": "ghost", "audio": str(tmp_path / "ghost.wav")})

@@ -298,13 +298,7 @@ class TestExtractFeatures:
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
         warp = compute_warp(270.0, 100.0)
         fm = extract_features(self._noise(), cfg, warp)
-        assert fm.meta.warp == warp
-        assert fm.meta.config_fingerprint == cfg.fingerprint()
-        assert fm.meta.source_id == "noise"
-
-    def test_fingerprint_tracks_config(self):
-        assert FeatureConfig().fingerprint() == FeatureConfig().fingerprint()
-        assert FeatureConfig().fingerprint() != FeatureConfig(num_ceps=12).fingerprint()
+        assert fm.warp == warp
 
     def test_determinism(self):
         buf = self._noise()

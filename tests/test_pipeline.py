@@ -1,4 +1,5 @@
 import json
+import wave
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from f0warp import (
     write_matrix,
 )
 from f0warp.melwarp import WARPED_HI_FREQ
-from f0warp.pipeline import MatrixFormatError, variant_key
-from tests.conftest import archive_hash, make_wav_dataset, write_manifest
+from f0warp.pipeline import ManifestEntry, MatrixFormatError, variant_key
+from tests.conftest import archive_contents, make_wav_dataset, write_manifest
 
 
 class TestManifest:
@@ -116,7 +117,7 @@ class TestProcessDataset:
         entries, cfg, plan = self._setup(tmp_path)
         process_dataset(entries, tmp_path / "a1", cfg, plan, normalize=True, workers=1)
         process_dataset(entries, tmp_path / "a2", cfg, plan, normalize=True, workers=4)
-        assert archive_hash(tmp_path / "a1") == archive_hash(tmp_path / "a2")
+        assert archive_contents(tmp_path / "a1") == archive_contents(tmp_path / "a2")
 
     def test_unvoiced_utterance_takes_fallback(self, tmp_path):
         from f0warp import AudioBuffer, write_wav
@@ -134,6 +135,17 @@ class TestProcessDataset:
         for record in result.records:
             assert record.fallback_used
             assert record.delta_mel == pytest.approx(record.shift_mel, abs=1e-9)
+
+    def test_unnormalized_fan_out_uses_plan_base(self, tmp_path):
+        # Without normalization the plan's base stands in for f0_utt, so a
+        # 220 Hz voice gets exactly the plan's shifts.
+        entries, cfg, plan = self._setup(tmp_path, f0s=(220.0,))
+        result = process_dataset(entries, tmp_path / "arch", cfg, plan)
+        assert len(result.records) == 7
+        for record in result.records:
+            assert record.f0_utt == 100.0
+            assert record.delta_mel == pytest.approx(record.shift_mel, abs=1e-9)
+            assert not record.fallback_used
 
     def test_low_speaker_keeps_clamped_variant(self, tmp_path):
         # 55 Hz normalized to a 200 Hz base needs about -198 Mels; the -60
@@ -156,15 +168,28 @@ class TestProcessDataset:
 
     def test_lenient_mode_records_failures(self, tmp_path):
         entries, cfg, plan = self._setup(tmp_path)
+        empty = tmp_path / "empty.wav"
+        with wave.open(str(empty), "wb") as handle:
+            handle.setnchannels(1)
+            handle.setsampwidth(2)
+            handle.setframerate(16000)
+        (tmp_path / "folder").mkdir()
         entries = entries + [
-            type(entries[0])(id="missing", audio_path=str(tmp_path / "nope.wav"))
+            ManifestEntry(id="missing", audio_path=str(tmp_path / "nope.wav")),
+            ManifestEntry(id="no-samples", audio_path=str(empty)),
+            ManifestEntry(id="not-a-file", audio_path=str(tmp_path / "folder")),
         ]
         result = process_dataset(entries, tmp_path / "arch", cfg, plan, normalize=True)
         assert len(result.records) == 21
-        assert len(result.failures) == 1
-        assert result.failures[0]["id"] == "missing"
+        expected = [
+            ("missing", "FileNotFoundError"),
+            ("no-samples", "TooShort"),
+            ("not-a-file", "IsADirectoryError"),
+        ]
+        assert [(f["id"], f["error"]) for f in result.failures] == expected
         report = (tmp_path / "arch" / "report.jsonl").read_text().splitlines()
-        assert json.loads(report[0])["id"] == "missing"
+        assert [(json.loads(line)["id"], json.loads(line)["error"])
+                for line in report] == expected
 
     def test_strict_mode_raises(self, tmp_path):
         entries, cfg, plan = self._setup(tmp_path)
@@ -186,10 +211,10 @@ class TestProcessDataset:
         entries, cfg, plan = self._setup(tmp_path, f0s=(130.0,))
         process_dataset(entries, tmp_path / "arch", cfg, plan, normalize=True)
         rec = read_archive_index(tmp_path / "arch")[0]
-        assert set(rec) == {
+        assert list(rec) == [
             "id", "shift_mel", "f0_utt", "f0_def", "delta_mel", "clamped",
             "fallback_used", "frames", "dims", "path",
-        }
+        ]
 
 
 class TestTextArchive:
