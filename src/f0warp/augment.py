@@ -10,6 +10,7 @@ fan-out count is stable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .audio_io import AudioBuffer
@@ -54,14 +55,16 @@ def make_plan(
     """Build a plan from a base target pitch and a set of Mel shifts.
 
     Entry i uses ``f0_def = mel_to_hz(hz_to_mel(base) - shift_i)``; the
-    zero shift maps to the base exactly.  Shifts must be distinct and
-    include 0.
+    zero shift maps to the base exactly.  The base must be positive and
+    finite; shifts must be finite, distinct and include 0.
     """
-    if base_f0_def <= 0:
-        raise DomainError("base_f0_def must be positive")
+    if not 0 < base_f0_def < math.inf:
+        raise DomainError("base_f0_def must be positive and finite")
     shifts = tuple(
         float(s) for s in (DEFAULT_SHIFTS_MEL if shifts_mel is None else shifts_mel)
     )
+    if not all(math.isfinite(s) for s in shifts):
+        raise DomainError(f"shifts must be finite: {shifts}")
     if len(set(shifts)) != len(shifts):
         raise DuplicateShift(f"shifts contain duplicates: {shifts}")
     if 0.0 not in shifts:

@@ -9,31 +9,26 @@ import sys
 import numpy as np
 
 from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
-from .augment import make_plan
-from .errors import DomainError, TooShort
+from .augment import DEFAULT_BASE_F0_DEF, make_plan
 from .melwarp import (
     BASELINE_HI_FREQ,
     LOG_MEL,
     MAX_ABS_SHIFT_MEL,
     MFCC,
     WARPED_HI_FREQ,
-    EmptyFilter,
     FeatureConfig,
-    compute_warp,
-    extract_features,
     hz_to_mel,
-    identity_warp,
     mel_to_hz,
 )
 from .pipeline import (
-    MatrixFormatError,
     export_text_archive,
     process_dataset,
     read_manifest,
     read_matrix,
+    utterance_variants,
     write_matrix,
 )
-from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
+from .pitch import PitchConfig, detect_pitch, median_f0
 from .synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
 
 EXIT_OK = 0
@@ -65,53 +60,55 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+# (flag, config field, help) of each option that sets one config field; the
+# type and the default come from the config class itself.
+FEATURE_FLAGS = (
+    ("--window", "window", "analysis window in seconds"),
+    ("--hop", "hop", "frame shift in seconds"),
+    ("--dft-size", "dft_size", "DFT length"),
+    ("--num-filters", "num_filters", "number of Mel filters"),
+    ("--lo-freq", "lo_freq", "filterbank floor in Hz"),
+    ("--num-ceps", "num_ceps", "cepstral coefficients to keep"),
+    ("--preemphasis", "preemphasis", "pre-emphasis coefficient"),
+    ("--log-floor", "log_floor", "energy floor before the log"),
+)
+PITCH_FLAGS = (
+    ("--f0-min", "f0_min", "lowest f0 searched in Hz"),
+    ("--f0-max", "f0_max", "highest f0 searched in Hz"),
+    ("--voicing-threshold", "voicing_threshold",
+     "periodicity needed to call a frame voiced"),
+    ("--pitch-window", "window", "pitch analysis window in seconds"),
+    ("--pitch-shift", "shift", "pitch frame shift in seconds"),
+)
+
+
+def _add_config_flags(parser, title: str, defaults, flags):
+    group = parser.add_argument_group(title)
+    for flag, field, helptext in flags:
+        default = getattr(defaults, field)
+        group.add_argument(flag, type=type(default), default=default,
+                           help=f"{helptext} (default: %(default)g)")
+    return group
+
+
 def _add_feature_flags(parser):
-    group = parser.add_argument_group("feature options")
-    group.add_argument("--window", type=float, default=0.025,
-                       help="analysis window in seconds (default: 0.025)")
-    group.add_argument("--hop", type=float, default=0.010,
-                       help="frame shift in seconds (default: 0.010)")
-    group.add_argument("--dft-size", type=int, default=512,
-                       help="DFT length (default: 512)")
-    group.add_argument("--num-filters", type=int, default=23,
-                       help="number of Mel filters (default: 23)")
-    group.add_argument("--lo-freq", type=float, default=20.0,
-                       help="filterbank floor in Hz (default: 20)")
+    group = _add_config_flags(parser, "feature options", FeatureConfig(), FEATURE_FLAGS)
     group.add_argument("--hi-freq", type=float, default=None,
-                       help="filterbank ceiling in Hz (default: 8000, or 6200"
-                            " whenever warping is enabled)")
-    group.add_argument("--num-ceps", type=int, default=13,
-                       help="cepstral coefficients to keep (default: 13)")
-    group.add_argument("--preemphasis", type=float, default=0.97,
-                       help="pre-emphasis coefficient (default: 0.97)")
-    group.add_argument("--log-floor", type=float, default=1e-10,
-                       help="energy floor before the log (default: 1e-10)")
+                       help=f"filterbank ceiling in Hz (default: {BASELINE_HI_FREQ:g},"
+                            f" or {WARPED_HI_FREQ:g} whenever warping is enabled)")
 
 
-def _add_pitch_flags(parser):
-    group = parser.add_argument_group("pitch options")
-    group.add_argument("--f0-min", type=float, default=50.0,
-                       help="lowest f0 searched in Hz (default: 50)")
-    group.add_argument("--f0-max", type=float, default=500.0,
-                       help="highest f0 searched in Hz (default: 500)")
-    group.add_argument("--voicing-threshold", type=float, default=0.5,
-                       help="periodicity needed to call a frame voiced"
-                            " (default: 0.5)")
-    group.add_argument("--pitch-window", type=float, default=0.040,
-                       help="pitch analysis window in seconds (default: 0.040)")
-    group.add_argument("--pitch-shift", type=float, default=0.010,
-                       help="pitch frame shift in seconds (default: 0.010)")
+def _add_f0_def(parser, helptext: str):
+    parser.add_argument("--f0-def", type=float, default=DEFAULT_BASE_F0_DEF,
+                        help=f"{helptext} (default: %(default)g)")
 
 
-def _pitch_config(args) -> PitchConfig:
+def _config(cls, flags, args, **fields):
+    """``cls`` built from the parsed values of ``flags`` plus ``fields``."""
+    values = {field: getattr(args, flag[2:].replace("-", "_"))
+              for flag, field, _ in flags}
     try:
-        return PitchConfig(
-            f0_min=args.f0_min,
-            f0_max=args.f0_max,
-            voicing_threshold=args.voicing_threshold,
-            window=args.pitch_window,
-            shift=args.pitch_shift,
-        )
+        return cls(**values, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -129,21 +126,7 @@ def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
             f" so warped ceilings must be at or below {limit} Hz (leave --hi-freq"
             f" unset for {WARPED_HI_FREQ:g} Hz)"
         )
-    try:
-        return FeatureConfig(
-            window=args.window,
-            hop=args.hop,
-            dft_size=args.dft_size,
-            num_filters=args.num_filters,
-            lo_freq=args.lo_freq,
-            hi_freq=hi,
-            num_ceps=args.num_ceps,
-            preemphasis=args.preemphasis,
-            log_floor=args.log_floor,
-            feature_kind=kind,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _config(FeatureConfig, FEATURE_FLAGS, args, hi_freq=hi, feature_kind=kind)
 
 
 def _emit(obj) -> None:
@@ -152,7 +135,7 @@ def _emit(obj) -> None:
 
 def cmd_pitch(args) -> int:
     buffer = read_wav(args.infile)
-    track = detect_pitch(buffer, _pitch_config(args))
+    track = detect_pitch(buffer, _config(PitchConfig, PITCH_FLAGS, args))
     summary_target = median_f0(track, args.f0_def)
 
     lines = ["time,f0,periodicity"]
@@ -185,14 +168,11 @@ def cmd_pitch(args) -> int:
 
 
 def _extract_like(args, kind: str) -> int:
+    plan = make_plan(args.f0_def, (0.0,))
     cfg = _feature_config(args, warped=args.normalize, kind=kind)
+    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffer = read_wav(args.infile)
-    if args.normalize:
-        f0 = median_f0(detect_pitch(buffer, _pitch_config(args)), args.f0_def)
-    else:
-        f0 = UtteranceF0(args.f0_def, 0, False)
-    warp = compute_warp(f0.f0_utt, args.f0_def)
-    matrix = extract_features(buffer, cfg, warp)
+    (matrix,) = utterance_variants(buffer, cfg, plan, args.normalize, pitch_cfg)
     write_matrix(args.out, matrix.values)
     _emit(
         {
@@ -201,11 +181,11 @@ def _extract_like(args, kind: str) -> int:
             "dims": matrix.dims,
             "feature_kind": kind,
             "hi_freq": cfg.hi_freq,
-            "f0_utt": warp.f0_utt,
-            "f0_def": warp.f0_def,
-            "delta_mel": warp.delta_mel,
-            "clamped": warp.clamped,
-            "fallback_used": f0.fallback_used,
+            "f0_utt": matrix.warp.f0_utt,
+            "f0_def": matrix.warp.f0_def,
+            "delta_mel": matrix.warp.delta_mel,
+            "clamped": matrix.warp.clamped,
+            "fallback_used": matrix.fallback_used,
         }
     )
     return EXIT_OK
@@ -230,7 +210,7 @@ def cmd_process(args) -> int:
         cfg=cfg,
         plan=plan,
         normalize=args.normalize,
-        pitch_cfg=_pitch_config(args),
+        pitch_cfg=_config(PitchConfig, PITCH_FLAGS, args),
         strict=args.strict,
         workers=args.workers,
     )
@@ -299,19 +279,12 @@ def cmd_demo_fig1(args) -> int:
         amplitude=0.9,
     )
     shifted = shift_vowel_for_f0(reference, 270.0)
-    cfg = FeatureConfig(
-        num_filters=15, lo_freq=20.0, hi_freq=6000.0, num_ceps=13,
-        feature_kind=LOG_MEL,
-    )
+    cfg = FeatureConfig(num_filters=15, hi_freq=6000.0, feature_kind=LOG_MEL)
+    plan = make_plan(args.f0_def, (0.0,))
+    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffers = [synth_vowel(reference), synth_vowel(shifted)]
-    plain = [extract_features(b, cfg, identity_warp(args.f0_def)) for b in buffers]
-    detected = [
-        median_f0(detect_pitch(b, _pitch_config(args)), args.f0_def) for b in buffers
-    ]
-    warped = [
-        extract_features(b, cfg, compute_warp(d.f0_utt, args.f0_def))
-        for b, d in zip(buffers, detected)
-    ]
+    plain = [utterance_variants(b, cfg, plan, False, pitch_cfg)[0] for b in buffers]
+    warped = [utterance_variants(b, cfg, plan, True, pitch_cfg)[0] for b in buffers]
 
     def mean_frame_distance(a, b):
         return float(np.mean(np.linalg.norm(a.values - b.values, axis=1)))
@@ -320,7 +293,7 @@ def cmd_demo_fig1(args) -> int:
     normalized = mean_frame_distance(warped[0], warped[1])
     _emit(
         {
-            "f0_detected": [d.f0_utt for d in detected],
+            "f0_detected": [m.warp.f0_utt for m in warped],
             "unnormalized_distance": unnormalized,
             "normalized_distance": normalized,
             "ratio": normalized / unnormalized if unnormalized else None,
@@ -342,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input WAV file")
     p.add_argument("--csv", default=None, help="write the CSV here instead of stdout")
     p.add_argument("--summary", default=None, help="write the JSON summary here")
-    p.add_argument("--f0-def", type=float, default=100.0,
-                   help="fallback f0 when no frame is voiced (default: 100)")
-    _add_pitch_flags(p)
+    _add_f0_def(p, "fallback f0 when no frame is voiced")
+    _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
     p.set_defaults(func=cmd_pitch)
 
     for name, helptext in (
@@ -356,10 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output matrix file")
         p.add_argument("--normalize", action="store_true",
                        help="warp by the detected median f0")
-        p.add_argument("--f0-def", type=float, default=100.0,
-                       help="target f0 in Hz (default: 100)")
+        _add_f0_def(p, "target f0 in Hz")
         _add_feature_flags(p)
-        _add_pitch_flags(p)
+        _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
         p.set_defaults(func=cmd_extract if name == "extract" else cmd_fbank)
 
     p = sub.add_parser("process", help="batch a manifest into a feature archive")
@@ -370,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--augment-shifts", type=_float_list, default=(0.0,),
                    help="comma-separated Mel shifts, e.g. 0,20,-20,40,-40,60,-60"
                         " (default: 0, meaning no fan-out)")
-    p.add_argument("--f0-def", type=float, default=100.0,
-                   help="base target f0 in Hz (default: 100)")
+    _add_f0_def(p, "base target f0 in Hz")
     p.add_argument("--feature-kind", choices=(MFCC, LOG_MEL), default=MFCC,
                    help="matrix contents (default: mfcc)")
     p.add_argument("--strict", action="store_true",
@@ -379,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker threads (default: cpu count, at most 8)")
     _add_feature_flags(p)
-    _add_pitch_flags(p)
+    _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
     p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("export-ark", help="export an archive as a text table")
@@ -420,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--duration", type=float, default=1.0,
                    help="vowel length in seconds (default: 1.0)")
-    p.add_argument("--f0-def", type=float, default=100.0,
-                   help="normalization target in Hz (default: 100)")
-    _add_pitch_flags(p)
+    _add_f0_def(p, "normalization target in Hz")
+    _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
     p.set_defaults(func=cmd_demo_fig1)
 
     return parser
@@ -436,15 +405,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"f0warp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        AudioIOError,
-        DomainError,
-        TooShort,
-        EmptyFilter,
-        MatrixFormatError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (AudioIOError, ValueError, OSError) as exc:
         print(f"f0warp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

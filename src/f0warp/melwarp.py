@@ -11,6 +11,7 @@ f0_def) pairs with the same shift produce identical features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,9 @@ class FeatureConfig:
     feature_kind: str = MFCC
 
     def __post_init__(self):
+        floats = [v for v in vars(self).values() if isinstance(v, float)]
+        if not all(map(math.isfinite, floats)):
+            raise ValueError("feature settings must be finite")
         if self.window <= 0 or self.hop <= 0:
             raise ValueError("window and hop must be positive")
         if not 0 <= self.lo_freq < self.hi_freq:

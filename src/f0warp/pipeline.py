@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .audio_io import read_wav
+from .audio_io import AudioBuffer, read_wav
 from .augment import AugmentationPlan, augment_utterance, make_plan
 from .melwarp import FeatureConfig
 from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
@@ -122,6 +122,23 @@ class ArchiveRecord:
         return json.dumps(asdict(self))
 
 
+def utterance_variants(
+    buffer: AudioBuffer,
+    cfg: FeatureConfig,
+    plan: AugmentationPlan,
+    normalize: bool,
+    pitch_cfg: PitchConfig,
+) -> list:
+    """One FeatureMatrix per plan entry of one utterance, warped from its
+    detected median f0 when normalizing and from the plan's base (a zero
+    normalization shift) otherwise."""
+    if normalize:
+        f0_utt = median_f0(detect_pitch(buffer, pitch_cfg), plan.base_f0_def)
+    else:
+        f0_utt = UtteranceF0(plan.base_f0_def, 0, False)
+    return augment_utterance(buffer, cfg, plan, f0_utt)
+
+
 @dataclass
 class BatchResult:
     records: list
@@ -160,12 +177,8 @@ def process_dataset(
 
     def process_one(entry: ManifestEntry) -> list:
         buffer = read_wav(entry.audio_path, source_id=entry.id)
-        if normalize:
-            f0_utt = median_f0(detect_pitch(buffer, pitch_cfg), plan.base_f0_def)
-        else:
-            f0_utt = UtteranceF0(plan.base_f0_def, 0, False)
         records = []
-        for matrix in augment_utterance(buffer, cfg, plan, f0_utt):
+        for matrix in utterance_variants(buffer, cfg, plan, normalize, pitch_cfg):
             rel_path = variant_key(entry.id, matrix.shift_mel) + ".mwf"
             write_matrix(out / rel_path, matrix.values)
             records.append(

@@ -38,6 +38,8 @@ class PitchConfig:
     shift: float = 0.010
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValueError("pitch settings must be finite")
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
         if not 0 <= self.voicing_threshold <= 1:
@@ -163,8 +165,11 @@ def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:
 
     Even-count median takes the lower-middle element so the result always
     equals an observed frame value.  The fallback keeps the downstream
-    warp shift at zero for fully unvoiced utterances.
+    warp shift at zero for fully unvoiced utterances, so it must be a
+    positive, finite pitch.
     """
+    if not 0 < default_f0 < math.inf:
+        raise DomainError("default_f0 must be positive and finite")
     voiced = sorted(track.voiced_f0s())
     if not voiced:
         return UtteranceF0(f0_utt=float(default_f0), voiced_count=0, fallback_used=True)

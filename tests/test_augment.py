@@ -3,6 +3,7 @@ import pytest
 
 from f0warp import (
     AudioBuffer,
+    DomainError,
     DuplicateShift,
     FeatureConfig,
     MissingZeroShift,
@@ -47,6 +48,20 @@ class TestMakePlan:
     def test_duplicate_shift_rejected(self):
         with pytest.raises(DuplicateShift):
             make_plan(100.0, (0.0, 20.0, 20.0))
+
+    @pytest.mark.parametrize(
+        "base, shifts",
+        [
+            (0.0, (0.0,)),
+            (np.inf, (0.0,)),
+            (np.nan, (0.0,)),
+            (100.0, (0.0, np.nan)),
+            (100.0, (0.0, -np.inf)),
+        ],
+    )
+    def test_nonpositive_or_nonfinite_rejected(self, base, shifts):
+        with pytest.raises(DomainError):
+            make_plan(base, shifts)
 
     def test_missing_zero_rejected(self):
         with pytest.raises(MissingZeroShift):

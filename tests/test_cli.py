@@ -6,11 +6,23 @@ import pytest
 from f0warp import (
     FeatureConfig,
     PitchConfig,
+    read_archive_index,
     read_matrix,
     synth_harmonic,
     write_wav,
 )
-from f0warp.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, main
+from f0warp.cli import (
+    EXIT_FATAL,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    EXIT_USAGE,
+    PITCH_FLAGS,
+    _config,
+    _feature_config,
+    build_parser,
+    main,
+)
+from f0warp.melwarp import MFCC
 from tests.conftest import make_wav_dataset, write_manifest
 
 TOP_LEVEL_HELP = """\
@@ -96,6 +108,76 @@ def test_flag_defaults_mirror_configs():
     }
     for dest, expected in expectations.items():
         assert sub.get_default(dest) == expected, dest
+
+
+# Every config flag, the field it sets and a value other than the default.
+# Written out here, not read from the CLI's tables, so a wrong table entry
+# shows up as a failure.
+CONFIG_FLAG_CASES = [
+    ("--window", FeatureConfig, "window", 0.032),
+    ("--hop", FeatureConfig, "hop", 0.02),
+    ("--dft-size", FeatureConfig, "dft_size", 1024),
+    ("--num-filters", FeatureConfig, "num_filters", 30),
+    ("--lo-freq", FeatureConfig, "lo_freq", 60.0),
+    ("--num-ceps", FeatureConfig, "num_ceps", 20),
+    ("--preemphasis", FeatureConfig, "preemphasis", 0.9),
+    ("--log-floor", FeatureConfig, "log_floor", 1e-8),
+    ("--f0-min", PitchConfig, "f0_min", 60.0),
+    ("--f0-max", PitchConfig, "f0_max", 400.0),
+    ("--voicing-threshold", PitchConfig, "voicing_threshold", 0.4),
+    ("--pitch-window", PitchConfig, "window", 0.05),
+    ("--pitch-shift", PitchConfig, "shift", 0.02),
+]
+
+
+@pytest.mark.parametrize("command", ["extract", "process"])
+@pytest.mark.parametrize("flag, cls, field, value", CONFIG_FLAG_CASES)
+def test_config_flag_reaches_its_field(command, flag, cls, field, value):
+    required = {
+        "extract": ["--in", "a.wav", "--out", "a.mwf"],
+        "process": ["--manifest", "m.jsonl", "--out", "arch"],
+    }[command]
+    args = build_parser().parse_args([command, *required, flag, str(value)])
+    if cls is FeatureConfig:
+        cfg = _feature_config(args, True, MFCC)
+    else:
+        cfg = _config(PitchConfig, PITCH_FLAGS, args)
+    assert getattr(cfg, field) == value
+
+
+@pytest.mark.parametrize("command", ["extract", "fbank"])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_single_utterance_commands_match_batch(tmp_path, capsys, command, normalize):
+    wav = tmp_path / "a.wav"
+    write_wav(wav, synth_harmonic(160.0, 0.5))
+    flags = ["--normalize"] if normalize else []
+    out = tmp_path / "a.mwf"
+    assert main([command, "--in", str(wav), "--out", str(out)] + flags) == EXIT_OK
+    single = _last_json(capsys)
+
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [{"id": "a", "audio": str(wav)}])
+    kind = "mfcc" if command == "extract" else "log-mel"
+    assert main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
+                 "--feature-kind", kind] + flags) == EXIT_OK
+    (record,) = read_archive_index(tmp_path / "arch")
+    assert record["path"] == "a_s+0.mwf"
+    assert out.read_bytes() == (tmp_path / "arch" / record["path"]).read_bytes()
+    for key in ("f0_utt", "f0_def", "delta_mel", "clamped", "fallback_used"):
+        assert single[key] == record[key], key
+    assert (single["delta_mel"] != 0.0) == normalize
+
+
+def test_nonfinite_numbers_rejected(tmp_path, wav, capsys):
+    out = tmp_path / "x.mwf"
+    args = ["extract", "--in", str(wav), "--out", str(out)]
+    assert main(args + ["--log-floor", "nan"]) == EXIT_USAGE
+    assert main(args + ["--normalize", "--f0-def", "inf"]) != EXIT_OK
+    assert not out.exists()
+    summary = tmp_path / "s.json"
+    assert main(["pitch", "--in", str(wav), "--summary", str(summary),
+                 "--f0-def", "inf"]) != EXIT_OK
+    assert not summary.exists()
 
 
 def test_synth_harmonic_writes_wav(tmp_path, capsys):

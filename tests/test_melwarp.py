@@ -328,6 +328,11 @@ class TestFeatureConfigValidation:
             {"preemphasis": 1.0},
             {"log_floor": 0.0},
             {"feature_kind": "plp"},
+            {"window": math.inf},
+            {"hop": math.nan},
+            {"hi_freq": math.inf},
+            {"log_floor": math.nan},
+            {"log_floor": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -129,6 +129,11 @@ class TestMedianF0:
         assert uf.voiced_count == 0
         assert uf.fallback_used
 
+    @pytest.mark.parametrize("default", [0.0, -5.0, float("inf"), float("nan")])
+    def test_invalid_fallback_rejected(self, default):
+        with pytest.raises(DomainError):
+            median_f0(self._track([None, None]), default)
+
     def test_permutation_invariant(self):
         values = [130.0, 90.0, 210.0, 175.0, 110.0]
         a = median_f0(self._track(values), 100.0)
@@ -150,6 +155,9 @@ class TestPitchConfig:
             {"voicing_threshold": 1.5},
             {"window": -0.01},
             {"shift": 0.0},
+            {"f0_max": np.inf},
+            {"window": np.inf},
+            {"shift": np.nan},
         ],
     )
     def test_invalid_rejected(self, kwargs):
