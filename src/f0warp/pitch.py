@@ -27,6 +27,10 @@ DIP_THRESHOLD = 0.2
 # a fraction of the period (F1 near a low harmonic) are passed over, as
 # with the relative threshold of McLeod & Wyvill's MPM (2005).
 DIP_TOLERANCE = 0.05
+# Frames per difference-kernel call: bounds the kernel's spectra and d'
+# rows to a few hundred KiB whatever the utterance length.  Output does
+# not depend on it.
+KERNEL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -89,34 +93,43 @@ def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
     return sosfiltfilt(sos, x)
 
 
-def _parabolic_minimum(row: np.ndarray, tau: int) -> float:
-    if tau <= 0 or tau >= row.shape[0] - 1:
-        return float(tau)
-    denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
-    if denom <= 0:
-        return float(tau)
-    offset = 0.5 * (row[tau - 1] - row[tau + 1]) / denom
-    return tau + min(max(offset, -1.0), 1.0)
+def _pick_lags(dprime: np.ndarray, tau_min: int, tau_max: int):
+    """Accepted lag, its parabolic refinement and periodicity, per row.
 
-
-def _pick_lag(row: np.ndarray, tau_min: int, tau_max: int, floor: float) -> int:
-    """First local minimum below DIP_THRESHOLD and within DIP_TOLERANCE of
-    ``floor`` (the row's minimum over the lag range), else the global one.
-
-    Taking the first deep dip rather than the deepest one avoids the
-    octave-down errors a plain argmin makes on strongly periodic frames,
-    where dips at 2x and 3x the period are equally deep.
+    A row's accepted lag is its first local minimum in ``[tau_min,
+    tau_max)`` that is below DIP_THRESHOLD and within DIP_TOLERANCE of the
+    row's minimum over ``[tau_min, tau_max]``, else that minimum.  Taking
+    the first deep dip rather than the deepest one avoids the octave-down
+    errors a plain argmin makes on strongly periodic frames, where dips at
+    2x and 3x the period are equally deep.  The refinement is the vertex
+    of the parabola through the lag and its neighbours, moved by at most
+    one lag, and the lag itself where there is no upward curvature or no
+    right neighbour.  Periodicity is ``1 - d'(lag)`` clipped to [0, 1].
+    The integer lag is returned too so tests can compare it with the
+    scalar rule; ``detect_pitch`` uses only the other two.
     """
-    limit = floor + DIP_TOLERANCE
-    for tau in range(tau_min, tau_max):
-        if (
-            row[tau] < DIP_THRESHOLD
-            and row[tau] <= limit
-            and row[tau] <= row[tau - 1]
-            and row[tau] <= row[tau + 1]
-        ):
-            return tau
-    return tau_min + int(np.argmin(row[tau_min:tau_max + 1]))
+    rows = np.arange(dprime.shape[0])
+    in_range = dprime[:, tau_min:tau_max + 1]
+    inner = dprime[:, tau_min:tau_max]
+    dips = (
+        (inner < DIP_THRESHOLD)
+        & (inner <= (in_range.min(axis=1) + DIP_TOLERANCE)[:, None])
+        & (inner <= dprime[:, tau_min - 1:tau_max - 1])
+        & (inner <= dprime[:, tau_min + 1:tau_max + 1])
+    )
+    lag = tau_min + np.where(
+        dips.any(axis=1), dips.argmax(axis=1), in_range.argmin(axis=1)
+    )
+
+    left = dprime[rows, lag - 1]
+    centre = dprime[rows, lag]
+    right = dprime[rows, np.minimum(lag + 1, tau_max)]
+    denom = left - 2.0 * centre + right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = 0.5 * (left - right) / denom
+    curved = (lag < tau_max) & (denom > 0)
+    refined = lag + np.where(curved, np.clip(offset, -1.0, 1.0), 0.0)
+    return lag, refined, np.clip(1.0 - centre, 0.0, 1.0)
 
 
 def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
@@ -139,25 +152,25 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
     span = win - tau_max
 
     banded = _band_limit(x, sr, cfg.f0_max)
-    n_frames = 1 + (x.shape[0] - win) // hop
-    frames = np.ascontiguousarray(
-        np.lib.stride_tricks.sliding_window_view(banded, win)[::hop][:n_frames]
-    )
-    dprime = _kernels.cumulative_mean_difference(frames, tau_max, span)
-    floors = dprime[:, tau_min:tau_max + 1].min(axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(banded, win)[::hop]
+    n_frames = windows.shape[0]
+    refined = np.empty(n_frames)
+    periodicity = np.empty(n_frames)
+    for start in range(0, n_frames, KERNEL_BLOCK):
+        block = slice(start, start + KERNEL_BLOCK)
+        dprime = _kernels.cumulative_mean_difference(windows[block], tau_max, span)
+        _, refined[block], periodicity[block] = _pick_lags(dprime, tau_min, tau_max)
 
-    out = []
-    for t in range(n_frames):
-        row = dprime[t]
-        tau = _pick_lag(row, tau_min, tau_max, floors[t])
-        periodicity = min(max(1.0 - row[tau], 0.0), 1.0)
-        f0 = None
-        if periodicity >= cfg.voicing_threshold:
-            refined = _parabolic_minimum(row, tau)
-            f0 = min(max(sr / refined, cfg.f0_min), cfg.f0_max)
-        time = (t * hop + win / 2) / sr
-        out.append(PitchFrame(time=time, f0=f0, periodicity=periodicity))
-    return PitchTrack(frames=tuple(out), frame_shift=hop / sr)
+    voiced = periodicity >= cfg.voicing_threshold
+    f0 = np.clip(sr / refined, cfg.f0_min, cfg.f0_max)
+    times = (np.arange(n_frames) * hop + win / 2) / sr
+    out = tuple(
+        PitchFrame(time=time, f0=f if v else None, periodicity=p)
+        for time, f, v, p in zip(
+            times.tolist(), f0.tolist(), voiced.tolist(), periodicity.tolist()
+        )
+    )
+    return PitchTrack(frames=out, frame_shift=hop / sr)
 
 
 def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:

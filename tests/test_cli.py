@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import f0warp
 from f0warp import (
     FeatureConfig,
     PitchConfig,
@@ -361,3 +366,27 @@ def test_demo_fig1_reports_smaller_normalized_distance(capsys):
     info = _last_json(capsys)
     assert info["normalized_distance"] < info["unnormalized_distance"]
     assert 0 < info["ratio"] < 1
+
+
+def test_cli_imports_nothing_heavy_beyond_numpy_and_scipy_signal():
+    """Loading the CLI adds only standard-library modules to what numpy
+    and scipy.signal (the pitch tracker's filters, and scipy.fft with them)
+    already load, so a new third-party import, such as another scipy
+    subpackage, cannot grow start-up cost unnoticed.  Which stdlib modules
+    appear varies with the Python, numpy and scipy versions, so only their
+    origin is checked."""
+    probe = (
+        "import json, sys\n"
+        "import numpy, scipy.signal\n"
+        "before = set(sys.modules)\n"
+        "import f0warp.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(f0warp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    )
+    added = {name.split(".")[0] for name in json.loads(done.stdout)}
+    assert added - {"f0warp"} <= set(sys.stdlib_module_names)

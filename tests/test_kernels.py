@@ -3,7 +3,7 @@ import pytest
 
 import f0warp as fw
 from f0warp import _kernels
-from f0warp.pitch import DIP_THRESHOLD, _pick_lag
+from f0warp.pitch import DIP_THRESHOLD, DIP_TOLERANCE
 from f0warp.synthkit import resonator_cascade
 
 
@@ -27,6 +27,33 @@ def _cumulative_mean_difference_loop(frames, tau_max, span):
     return out
 
 
+def _parabolic_minimum_loop(row, tau):
+    # Scalar definition of the picker's parabolic refinement (oracle).
+    if tau <= 0 or tau >= row.shape[0] - 1:
+        return float(tau)
+    denom = row[tau - 1] - 2.0 * row[tau] + row[tau + 1]
+    if denom <= 0:
+        return float(tau)
+    offset = 0.5 * (row[tau - 1] - row[tau + 1]) / denom
+    return tau + min(max(offset, -1.0), 1.0)
+
+
+def _pick_lag_loop(row, tau_min, tau_max):
+    # Scalar definition of the picker's accepted lag (oracle): the first
+    # local minimum below DIP_THRESHOLD and within DIP_TOLERANCE of the
+    # row's minimum over [tau_min, tau_max], else that minimum.
+    limit = row[tau_min:tau_max + 1].min() + DIP_TOLERANCE
+    for tau in range(tau_min, tau_max):
+        if (
+            row[tau] < DIP_THRESHOLD
+            and row[tau] <= limit
+            and row[tau] <= row[tau - 1]
+            and row[tau] <= row[tau + 1]
+        ):
+            return tau
+    return tau_min + int(np.argmin(row[tau_min:tau_max + 1]))
+
+
 def _frames(seed=0, n_frames=12, length=640):
     rng = np.random.default_rng(seed)
     t = np.arange(length) / 16000.0
@@ -39,11 +66,10 @@ class TestCumulativeMeanDifference:
     def test_numpy_dips_at_period(self):
         # The dips at 2x and 3x the period are about as deep as the one at
         # the period, so the promise is about the first deep dip (the one
-        # _pick_lag takes), not the deepest one.
+        # the picker takes), not the deepest one.
         d = _kernels.cumulative_mean_difference(_frames(), 320, 320)
-        floors = d[:, 32:321].min(axis=1)
         for t, row in enumerate(d):
-            lag = _pick_lag(row, 32, 320, floors[t])
+            lag = _pick_lag_loop(row, 32, 320)
             assert row[lag] < DIP_THRESHOLD, (t, lag, row[lag])
             assert abs(lag - 128) <= 1, (t, lag)  # 16000 / 125
 
@@ -56,6 +82,27 @@ class TestCumulativeMeanDifference:
     def test_lag_zero_column_is_one(self):
         d = _kernels.cumulative_mean_difference(_frames(), 100, 200)
         assert np.all(d[:, 0] == 1.0)
+
+    def test_exactly_periodic_frame_dips_to_zero(self):
+        # x[j] == x[j + 40] bit for bit, so the plain sum of squared
+        # differences is exactly 0 at every multiple of 40; the FFT form
+        # leaves rounding residue there that the cancellation floor clears.
+        pattern = np.random.default_rng(4).standard_normal(40)
+        frames = np.tile(pattern, 16)[None, :]
+        d = _kernels.cumulative_mean_difference(frames, 320, 320)
+        assert np.all(d[0, 40::40] == 0.0)
+        slow = _cumulative_mean_difference_loop(frames, 320, 320)
+        assert np.array_equal(d[0, 40::40], slow[0, 40::40])
+
+    def test_dc_offset_then_soft_onset_matches_loop(self):
+        # e_0 + e_tau - 2 r over a 0.1 offset cancels to residue of the
+        # offset's energy, which swamps the onset's d at the first lags it
+        # reaches unless the kernel takes the offset off first.
+        frames = np.full((1, 640), 0.1)
+        frames[0, 500:] += 1e-3 * np.sin(2 * np.pi * np.arange(140) / 40.0 + 0.3)
+        fast = _kernels.cumulative_mean_difference(frames, 320, 320)
+        slow = _cumulative_mean_difference_loop(frames, 320, 320)
+        assert np.max(np.abs(fast - slow)) <= 1e-12
 
     def test_silence_stays_neutral(self):
         d = _kernels.cumulative_mean_difference(np.zeros((3, 640)), 320, 320)

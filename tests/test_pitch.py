@@ -15,6 +15,7 @@ from f0warp import (
     synth_harmonic,
     synth_vowel,
 )
+from f0warp import pitch
 from tests.conftest import noisy_harmonic
 
 SR = 16000
@@ -42,6 +43,26 @@ class TestDetector:
         track = detect_pitch(AudioBuffer(np.zeros(SR), SR))
         assert all(not frame.voiced for frame in track.frames)
         assert all(frame.periodicity == 0.0 for frame in track.frames)
+
+    def test_dc_offset_is_unvoiced(self):
+        # A constant stretch has no period: every d' lag is neutral, as over
+        # silence.  The FFT form of the kernel must not turn its rounding
+        # residue into dips.
+        track = detect_pitch(AudioBuffer(np.full(SR, 0.1), SR))
+        assert not any(frame.voiced for frame in track.frames)
+        assert median_f0(track, 100.0).fallback_used
+
+    def test_dc_offset_then_tone_voices_only_the_tone(self):
+        tone = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(SR // 2) / SR)
+        x = np.concatenate([np.full(SR // 2, 0.1), tone])
+        track = detect_pitch(AudioBuffer(x, SR))
+        win = round(PitchConfig().window * SR)
+        for t, frame in enumerate(track.frames):
+            start = round(t * track.frame_shift * SR)
+            if start + win <= SR // 2:
+                assert not frame.voiced, t
+            elif start >= SR // 2:
+                assert frame.voiced and abs(frame.f0 - 200.0) <= 2.0, (t, frame)
 
     def test_white_noise_mostly_unvoiced(self, rng):
         buf = AudioBuffer(rng.standard_normal(SR) * 0.2, SR)
@@ -97,6 +118,29 @@ class TestDetector:
         vowel = synth_vowel(shift_vowel_for_f0(ref, 233.9))
         uf = median_f0(detect_pitch(vowel), 100.0)
         assert abs(uf.f0_utt - 233.9) <= 1.0
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_kernel_block_size_does_not_change_the_track(self, monkeypatch, block):
+        # Voiced vowel, silence, a DC stretch and noise, 2 s: 197 frames,
+        # so blocks of 7 and 128 end in a partial block; the reference runs
+        # them all in one block.
+        vowel = synth_vowel(VowelSpec(f0=180.0, formants=(530.0, 1840.0, 2480.0),
+                                      bandwidths=(60.0, 90.0, 150.0), duration=0.8))
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            vowel.samples, np.zeros(SR // 4), np.full(SR // 4, -0.2),
+            0.1 * rng.standard_normal(int(0.7 * SR)),
+        ])
+        buf = AudioBuffer(x, SR)
+        monkeypatch.setattr(pitch, "KERNEL_BLOCK", 10**6)
+        whole = detect_pitch(buf)
+        monkeypatch.setattr(pitch, "KERNEL_BLOCK", block)
+        blocked = detect_pitch(buf)
+        assert len(whole.frames) == 197
+        assert any(f.voiced for f in whole.frames)
+        assert [(f.f0, f.periodicity) for f in blocked.frames] == [
+            (f.f0, f.periodicity) for f in whole.frames
+        ]
 
     def test_determinism(self):
         buf = noisy_harmonic(170.0, seed=11)

@@ -8,16 +8,26 @@ from hypothesis import strategies as st
 from f0warp import (
     AudioBuffer,
     FeatureConfig,
+    VowelSpec,
     WarpSpec,
     compute_warp,
+    detect_pitch,
     extract_features,
     hz_to_mel,
     identity_warp,
+    median_f0,
     mel_to_hz,
+    shift_vowel_for_f0,
+    synth_vowel,
 )
 from f0warp import _kernels
 from f0warp.melwarp import LOG_MEL, MFCC, WARPED_HI_FREQ
-from tests.test_kernels import _cumulative_mean_difference_loop
+from f0warp.pitch import DIP_THRESHOLD, _pick_lags
+from tests.test_kernels import (
+    _cumulative_mean_difference_loop,
+    _parabolic_minimum_loop,
+    _pick_lag_loop,
+)
 
 SR = 16000
 
@@ -85,7 +95,7 @@ def test_equal_shifts_give_identical_features(buffer, cfg, u1, d1, u2):
     assert np.array_equal(a.values, b.values)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seeds,
     st.integers(1, 3),
@@ -93,13 +103,79 @@ def test_equal_shifts_give_identical_features(buffer, cfg, u1, d1, u2):
     st.integers(1, 80),
     st.sampled_from([1e-3, 1.0, 1e3]),
     st.integers(0, 140),
+    st.sampled_from([0.0, 0.1, -2.5]),
 )
-def test_kernel_matches_loop_definition(seed, n_frames, tau_max, span, scale, silent):
-    """The difference kernel equals its plain-loop definition, silent
-    stretches (the neutral value 1) included."""
+def test_kernel_matches_loop_definition(
+    seed, n_frames, tau_max, span, scale, stretch, level
+):
+    """The difference kernel equals its plain-loop definition, frames that
+    are silent or constant up to some lag or throughout (where the plain
+    sum gives exact zeros and the neutral value 1) included."""
     frames = np.random.default_rng(seed).standard_normal((n_frames, span + tau_max))
+    frames[:, :stretch] = level
     frames *= scale
-    frames[:, :silent] = 0.0
     fast = _kernels.cumulative_mean_difference(frames, tau_max, span)
     slow = _cumulative_mean_difference_loop(frames, tau_max, span)
     assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+# d' values near the picker's thresholds, repeated so rows hold ties.
+DPRIME_LEVELS = [0.0, 0.01, 0.04, 0.1, 0.15, DIP_THRESHOLD, 0.3, 0.8, 1.0, 1.4]
+
+
+@st.composite
+def dprime_blocks(draw):
+    """Rows of d' over lags 0..tau_max: free values, rows with no value
+    below DIP_THRESHOLD (no qualifying dip), rows from few levels (equal
+    dips), and rows whose minimum sits at tau_min or at tau_max."""
+    tau_min = draw(st.integers(2, 8))
+    tau_max = draw(st.integers(tau_min + 1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "no dip", "ties", "edge"]))
+        if kind == "free":
+            values = st.floats(0.0, 1.5)
+        elif kind == "no dip":
+            values = st.floats(DIP_THRESHOLD, 1.5)
+        else:
+            values = st.sampled_from(DPRIME_LEVELS)
+        row = draw(st.lists(values, min_size=tau_max + 1, max_size=tau_max + 1))
+        if kind == "edge":
+            row[draw(st.sampled_from([tau_min, tau_max]))] = -0.01
+        rows.append(row)
+    return np.array(rows), tau_min, tau_max
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dprime_blocks())
+def test_block_picker_matches_scalar_picker(block):
+    """Per row, the vectorized picker's lag, refined lag and periodicity
+    equal the scalar picker's, bit for bit."""
+    dprime, tau_min, tau_max = block
+    lags, refined, periodicity = _pick_lags(dprime, tau_min, tau_max)
+    for t, row in enumerate(dprime):
+        lag = _pick_lag_loop(row, tau_min, tau_max)
+        assert lags[t] == lag
+        assert refined[t] == _parabolic_minimum_loop(row, lag)
+        assert periodicity[t] == min(max(1.0 - row[lag], 0.0), 1.0)
+
+
+PB_VOWELS = {
+    "a": (730.0, 1090.0, 2440.0),
+    "e": (530.0, 1840.0, 2480.0),
+    "i": (270.0, 2290.0, 3010.0),
+    "o": (570.0, 840.0, 2410.0),
+    "u": (300.0, 870.0, 2240.0),
+}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PB_VOWELS)), st.floats(80.0, 400.0))
+def test_vowel_median_f0_within_50_cents(vowel, f0):
+    """Peterson-Barney vowels (100 Hz reference) moved to f0 over the
+    paper's 80-400 Hz range: the median f0 does not lock onto a multiple
+    or sub-multiple of the period."""
+    ref = VowelSpec(f0=100.0, formants=PB_VOWELS[vowel],
+                    bandwidths=(60.0, 90.0, 150.0), duration=0.5)
+    uf = median_f0(detect_pitch(synth_vowel(shift_vowel_for_f0(ref, f0))), 100.0)
+    assert abs(1200.0 * np.log2(uf.f0_utt / f0)) <= 50.0, uf
