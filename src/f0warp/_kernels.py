@@ -9,6 +9,7 @@ where ``e_0`` and ``e_tau`` are the energies of the ``span`` samples at
 lags 0 and ``tau`` (one cumulative sum of squares gives both) and ``r`` is
 their cross-correlation (one batched real-FFT cross-correlation per
 call, so the cost per frame is O(n log n) rather than O(span * tau_max)).
+The FFTs are numpy's, at the 2*3*5-smooth sizes ``next_fast_len`` picks.
 
 Block contract: every row is computed on its own, with operations that do
 not depend on how many rows the call holds, so a frame's output is
@@ -26,11 +27,25 @@ period.
 """
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 # Relative to ``e_0 + e_tau``: well above the FFT's rounding residue (a
 # few 1e-16) and far below any difference a real frame shows.
 CANCELLATION_FLOOR = 1e-12
+
+
+def next_fast_len(n):
+    """Smallest 2*3*5-smooth integer >= ``n`` (``n >= 1``), as
+    ``scipy.fft.next_fast_len(n, real=True)`` returns."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def cumulative_mean_difference(frames, tau_max, span):
@@ -45,15 +60,15 @@ def cumulative_mean_difference(frames, tau_max, span):
     width = span + tau_max
     frames = np.asarray(frames, dtype=np.float64)[:, :width]
     frames = frames - frames[:, :1]
-    n_fft = next_fast_len(width, real=True)
+    n_fft = next_fast_len(width)
 
     # For j < span and tau <= tau_max, j + tau < width <= n_fft: the
     # circular correlation of the zero-padded rows is the linear one.
-    spec = rfft(frames, n_fft, axis=1)
-    base = rfft(frames[:, :span], n_fft, axis=1)
+    spec = np.fft.rfft(frames, n_fft, axis=1)
+    base = np.fft.rfft(frames[:, :span], n_fft, axis=1)
     np.conjugate(base, out=base)
     spec *= base
-    d = irfft(spec, n_fft, axis=1)[:, :tau_max + 1]
+    d = np.fft.irfft(spec, n_fft, axis=1)[:, :tau_max + 1]
 
     cum_sq = np.zeros((frames.shape[0], width + 1))
     np.cumsum(np.square(frames), axis=1, out=cum_sq[:, 1:])

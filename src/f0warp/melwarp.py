@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import AudioBuffer
 from .errors import DomainError, TooShort
@@ -252,6 +251,18 @@ def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
     return spec.real ** 2 + spec.imag ** 2
 
 
+def _dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
+    """Orthonormal DCT-II as a num_filters x num_ceps matrix: ``feats @
+    basis`` keeps coefficients c0..num_ceps-1 of each row of ``feats``
+    (``scipy.fft.dct(feats, type=2, norm="ortho")[:, :num_ceps]``)."""
+    n = np.arange(num_filters)[:, None]
+    k = np.arange(num_ceps)[None, :]
+    angle = np.pi * k * (2 * n + 1) / (2 * num_filters)
+    basis = np.sqrt(2.0 / num_filters) * np.cos(angle)
+    basis[:, 0] *= np.sqrt(0.5)
+    return basis
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """frames x dims feature values, the warp that produced them, and the
@@ -277,7 +288,8 @@ def extract_features(
     warp: WarpSpec | None = None,
 ) -> FeatureMatrix:
     """Full front end: frames -> power spectra -> warped filterbank ->
-    log energies -> (for MFCC) orthonormal DCT-II keeping c0..num_ceps-1.
+    log energies -> (for MFCC) orthonormal DCT-II keeping c0..num_ceps-1,
+    as one product with :func:`_dct_basis`.
 
     Features depend on the warp only through ``warp.delta_mel``, and a
     zero shift is bit-identical to the unwarped pipeline.  Pure and
@@ -299,5 +311,5 @@ def extract_features(
     energies = pspec @ fbank.weights.T
     feats = np.log(np.maximum(energies, cfg.log_floor))
     if cfg.feature_kind == MFCC:
-        feats = scipy.fft.dct(feats, type=2, norm="ortho", axis=1)[:, : cfg.num_ceps]
+        feats = feats @ _dct_basis(cfg.num_filters, cfg.num_ceps)
     return FeatureMatrix(np.ascontiguousarray(feats), warp)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
 from .errors import DomainError
@@ -96,6 +95,10 @@ def resonator_coefficients(formants, bandwidths, sample_rate: int):
 
 def resonator_cascade(source, a1, a2, gain):
     """Run a signal through cascaded two-pole sections."""
+    # Imported here so that loading the package (and every command but
+    # synthesis) stays free of scipy.
+    from scipy.signal import lfilter
+
     y = np.ascontiguousarray(source, dtype=np.float64)
     for c1, c2, g in zip(a1, a2, gain):
         y = lfilter([g], [1.0, c1, c2], y)

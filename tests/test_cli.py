@@ -368,19 +368,33 @@ def test_demo_fig1_reports_smaller_normalized_distance(capsys):
     assert 0 < info["ratio"] < 1
 
 
-def test_cli_imports_nothing_heavy_beyond_numpy_and_scipy_signal():
+def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
     """Loading the CLI adds only standard-library modules to what numpy
-    and scipy.signal (the pitch tracker's filters, and scipy.fft with them)
-    already load, so a new third-party import, such as another scipy
-    subpackage, cannot grow start-up cost unnoticed.  Which stdlib modules
-    appear varies with the Python, numpy and scipy versions, so only their
-    origin is checked."""
+    already loads, and running `process --normalize`, `extract` and `pitch`
+    loads no scipy module either (scipy serves the synthesis commands
+    only).  So a new third-party import, or a lazy one that start-up time
+    would not show, cannot grow the cost of a run unnoticed.  Which stdlib
+    modules appear varies with the Python and numpy versions, so only
+    their origin is checked."""
+    wav = tmp_path / "a.wav"
+    write_wav(wav, synth_harmonic(180.0, 0.5))
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, [{"id": "a", "audio": str(wav)}])
+    runs = [
+        ["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
+         "--normalize"],
+        ["extract", "--in", str(wav), "--out", str(tmp_path / "a.mwf"), "--normalize"],
+        ["pitch", "--in", str(wav), "--csv", str(tmp_path / "a.csv")],
+    ]
     probe = (
         "import json, sys\n"
-        "import numpy, scipy.signal\n"
+        "import numpy\n"
         "before = set(sys.modules)\n"
         "import f0warp.cli\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        f"codes = [f0warp.cli.main(args) for args in {runs!r}]\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([added, codes, scipy]))\n"
     )
     src = str(Path(f0warp.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -388,5 +402,9 @@ def test_cli_imports_nothing_heavy_beyond_numpy_and_scipy_signal():
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
     )
-    added = {name.split(".")[0] for name in json.loads(done.stdout)}
-    assert added - {"f0warp"} <= set(sys.stdlib_module_names)
+    added, codes, scipy = json.loads(done.stdout.splitlines()[-1])
+    assert {name.split(".")[0] for name in added} - {"f0warp"} <= set(
+        sys.stdlib_module_names
+    )
+    assert codes == [EXIT_OK] * 3
+    assert scipy == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import f0warp as fw
 from f0warp import _kernels
@@ -107,6 +108,13 @@ class TestCumulativeMeanDifference:
     def test_silence_stays_neutral(self):
         d = _kernels.cumulative_mean_difference(np.zeros((3, 640)), 320, 320)
         assert np.all(d == 1.0)
+
+
+def test_next_fast_len_matches_scipy():
+    sizes = range(1, 4097)
+    assert [_kernels.next_fast_len(n) for n in sizes] == [
+        scipy.fft.next_fast_len(n, real=True) for n in sizes
+    ]
 
 
 class TestResonatorCascade:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from f0warp import (
     power_spectrum,
     warp_bin_mels,
 )
-from f0warp.melwarp import LOG_MEL, WARPED_HI_FREQ
+from f0warp.melwarp import LOG_MEL, WARPED_HI_FREQ, _dct_basis
 
 SR = 16000
 
@@ -242,19 +243,35 @@ def _dct2_orthonormal_matrix(n):
 
 
 class TestDct:
-    def test_matches_explicit_matrix(self, rng):
-        logm = rng.standard_normal((10, 23))
-        ours = scipy.fft.dct(logm, type=2, norm="ortho", axis=1)
-        oracle = logm @ _dct2_orthonormal_matrix(23).T
-        assert np.allclose(ours, oracle, atol=1e-12)
+    def test_matches_explicit_matrix(self):
+        for num_filters, num_ceps in [(23, 13), (23, 23), (40, 1)]:
+            basis = _dct_basis(num_filters, num_ceps)
+            oracle = _dct2_orthonormal_matrix(num_filters)[:num_ceps].T
+            assert basis.shape == (num_filters, num_ceps)
+            assert np.allclose(basis, oracle, rtol=0, atol=1e-15)
 
     def test_orthonormal_round_trip(self, rng):
-        mat = _dct2_orthonormal_matrix(23)
-        assert np.allclose(mat @ mat.T, np.eye(23), atol=1e-12)
+        basis = _dct_basis(23, 23)
+        assert np.allclose(basis.T @ basis, np.eye(23), atol=1e-12)
         logm = rng.standard_normal((6, 23))
-        coeffs = scipy.fft.dct(logm, type=2, norm="ortho", axis=1)
-        back = scipy.fft.idct(coeffs, type=2, norm="ortho", axis=1)
+        back = (logm @ basis) @ basis.T
         assert np.max(np.abs(back - logm) / np.abs(logm).max()) < 1e-10
+
+    @pytest.mark.parametrize(
+        "num_filters, num_ceps", [(23, 13), (23, 23), (13, 1), (30, 20), (40, 13)]
+    )
+    def test_mfcc_is_orthonormal_dct_of_log_mel(self, num_filters, num_ceps):
+        # The MFCC path's DCT against scipy's, on the log-Mel matrix the
+        # same config gives.
+        buf = AudioBuffer(
+            np.random.default_rng(num_filters).standard_normal(8000) * 0.3, SR
+        )
+        cfg = FeatureConfig(num_filters=num_filters, num_ceps=num_ceps)
+        mfcc = extract_features(buf, cfg).values
+        log_mel = extract_features(buf, replace(cfg, feature_kind=LOG_MEL)).values
+        oracle = scipy.fft.dct(log_mel, type=2, norm="ortho", axis=1)[:, :num_ceps]
+        assert mfcc.shape == oracle.shape
+        assert np.max(np.abs(mfcc - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestExtractFeatures:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfiltfilt
 
 from f0warp import (
     AudioBuffer,
@@ -119,6 +120,27 @@ class TestDetector:
         uf = median_f0(detect_pitch(vowel), 100.0)
         assert abs(uf.f0_utt - 233.9) <= 1.0
 
+    @pytest.mark.parametrize("before, after", [(0.0, 0.0), (-0.2, 0.3)])
+    def test_flat_stretches_around_a_vowel_are_unvoiced(self, before, after):
+        # Digital silence or a DC offset next to sound: band-limited, a flat
+        # stretch picks up the filter's response to the sound and rounding
+        # residue, neither of which is a pitch.
+        vowel = synth_vowel(VowelSpec(f0=180.0, formants=(530.0, 1840.0, 2480.0),
+                                      bandwidths=(60.0, 90.0, 150.0), duration=0.8))
+        n = vowel.samples.shape[0]
+        x = np.concatenate([np.full(SR // 2, before), vowel.samples,
+                            np.full(SR // 2, after)])
+        track = detect_pitch(AudioBuffer(x, SR))
+        win = round(PitchConfig().window * SR)
+        flat = 0
+        for t, frame in enumerate(track.frames):
+            start = round(t * track.frame_shift * SR)
+            if start + win <= SR // 2 or start >= SR // 2 + n:
+                flat += 1
+                assert not frame.voiced and frame.periodicity == 0.0, (t, frame)
+        assert flat == 94
+        assert median_f0(track, 100.0).voiced_count > 0
+
     @pytest.mark.parametrize("block", [1, 7, 128])
     def test_kernel_block_size_does_not_change_the_track(self, monkeypatch, block):
         # Voiced vowel, silence, a DC stretch and noise, 2 s: 197 frames,
@@ -147,6 +169,47 @@ class TestDetector:
         a = detect_pitch(buf)
         b = detect_pitch(buf)
         assert [f.f0 for f in a.frames] == [f.f0 for f in b.frames]
+
+
+def _sosfiltfilt(x, f0_max=500.0):
+    cutoff = min(2.4 * f0_max, 0.45 * SR)
+    return sosfiltfilt(butter(4, cutoff, btype="low", fs=SR, output="sos"), x)
+
+
+BAND_STEP = pitch.BAND_FFT - 2 * pitch.BAND_HALF_TAPS
+
+
+class TestBandLimit:
+    """The FFT band-limit against scipy's butter + sosfiltfilt, the filter
+    it replaces (scipy serves here as a test-only oracle)."""
+
+    @pytest.mark.parametrize(
+        "n",
+        # around one and two block steps, and past one call's group of blocks
+        [16, BAND_STEP - 1, BAND_STEP, BAND_STEP + 1, 2 * BAND_STEP + 1,
+         (pitch.BAND_BLOCKS + 1) * BAND_STEP + 5],
+    )
+    def test_matches_sosfiltfilt(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        got = pitch._band_limit(x, SR, 500.0)
+        assert got.shape == x.shape
+        err = np.abs(got - _sosfiltfilt(x)) / np.abs(x).max()
+        # Away from the ends, equal to rounding; at the ends sosfiltfilt's
+        # IIR initial state and the held edge part ways.
+        assert err[512:n - 512].max(initial=0.0) <= 1e-12
+        assert err.max() <= 0.02
+
+    def test_short_buffers_pass_through(self):
+        rng = np.random.default_rng(1)
+        for n in range(1, pitch.BAND_ODD_PAD + 1):
+            x = rng.standard_normal(n)
+            assert np.array_equal(pitch._band_limit(x, SR, 500.0), x)
+
+    def test_constant_stays_constant(self):
+        for n in (16, BAND_STEP, 10_000):
+            for level in (0.1, -3.0, 1e-6):
+                out = pitch._band_limit(np.full(n, level), SR, 500.0)
+                assert np.max(np.abs(out / level - 1.0)) <= 1e-15, (n, level)
 
 
 class TestMedianF0:

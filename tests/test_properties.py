@@ -31,6 +31,15 @@ from tests.test_kernels import (
 
 SR = 16000
 
+# When a property fails, hypothesis's pytest plugin imports libcst to
+# suggest a patch, and libcst sets off this DeprecationWarning from
+# mypy_extensions.  The suite turns warnings into errors, which would turn
+# that report into an INTERNALERROR that stops the whole run; ignored here,
+# a failing property reports as one failed test.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+
 # Few examples and no per-example deadline: each one runs whole extractions.
 # Derandomized, so every run draws the same examples and a counterexample
 # fails the change that brings it, not a later one.
