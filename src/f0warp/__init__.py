@@ -35,7 +35,6 @@ from .melwarp import (
     EmptyFilter,
     FeatureConfig,
     FeatureMatrix,
-    MelFilterbank,
     WarpSpec,
     build_filterbank,
     compute_warp,

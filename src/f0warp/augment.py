@@ -1,22 +1,24 @@
 """f0-perturbation plans and per-utterance feature fan-out.
 
-Augmentation re-extracts one utterance several times with the target
-pitch moved by fixed Mel offsets.  Raising the target lowers the shift
-and vice versa, so each plan entry's shift composes additively with the
-normalization shift: ``delta = mel(f0_utt) - mel(base) + shift_mel``
-(clamped afterwards; clamped variants are kept and flagged so the
-fan-out count is stable).
+Augmentation extracts one utterance under several warps, with the target
+pitch moved by fixed Mel offsets: the spectrum is computed once, and only
+the filterbank positions change from variant to variant.  Raising the
+target lowers the shift and vice versa, so each plan entry's shift
+composes additively with the normalization shift:
+``delta = mel(f0_utt) - mel(base) + shift_mel`` (clamped afterwards;
+clamped variants are kept and flagged so the fan-out count is stable).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .audio_io import AudioBuffer
 from .errors import DomainError
 from .melwarp import (
     FeatureConfig,
+    FeatureMatrix,
     compute_warp,
     extract_features,
     hz_to_mel,
@@ -44,9 +46,6 @@ class AugmentationPlan:
 
     def __len__(self) -> int:
         return len(self.shifts_mel)
-
-    def entries(self):
-        return zip(self.shifts_mel, self.f0_def_values)
 
 
 def make_plan(
@@ -91,8 +90,9 @@ def augment_utterance(
     records its plan shift and whether the unvoiced-utterance fallback was
     taken.
     """
-    out = []
-    for shift, f0_def in plan.entries():
-        fm = extract_features(buffer, cfg, compute_warp(f0_utt.f0_utt, f0_def))
-        out.append(replace(fm, shift_mel=shift, fallback_used=f0_utt.fallback_used))
-    return out
+    warps = [compute_warp(f0_utt.f0_utt, f0_def) for f0_def in plan.f0_def_values]
+    matrices = extract_features(buffer, cfg, *warps)
+    return [
+        FeatureMatrix(values, warp, shift, f0_utt.fallback_used)
+        for values, warp, shift in zip(matrices, warps, plan.shifts_mel)
+    ]

@@ -155,14 +155,6 @@ class FeatureConfig:
         return self.num_ceps if self.feature_kind == MFCC else self.num_filters
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filter weights evaluated at (warped) bin coordinates."""
-
-    weights: np.ndarray
-    centers_mel: np.ndarray
-
-
 def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:
     """Weights of the triangles over ``points`` at Mel coordinates ``mels``."""
     left = points[:-2, None]
@@ -173,8 +165,9 @@ def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:
     return np.clip(np.minimum(rise, fall), 0.0, 1.0)
 
 
-def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> MelFilterbank:
-    """Evaluate ``cfg.num_filters`` triangles at the given bin coordinates.
+def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
+    """Weights of ``cfg.num_filters`` triangles at the given bin coordinates,
+    one row per filter and one column per bin.
 
     ``bin_mels`` are the warped coordinates of DFT bins 0..dft_size/2 as
     :func:`warp_bin_mels` returns them for ``cfg.dft_size``.  Edges and
@@ -215,7 +208,7 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> MelFilterbank:
             f"filter rows {rows} cover no DFT bin; the shift/bandwidth/"
             "DFT-size combination is invalid"
         )
-    return MelFilterbank(weights=weights, centers_mel=points[1:-1].copy())
+    return weights
 
 
 def frame_and_window(buffer: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
@@ -270,8 +263,8 @@ class FeatureMatrix:
 
     values: np.ndarray
     warp: WarpSpec
-    shift_mel: float = 0.0
-    fallback_used: bool = False
+    shift_mel: float
+    fallback_used: bool
 
     @property
     def num_frames(self) -> int:
@@ -283,20 +276,21 @@ class FeatureMatrix:
 
 
 def extract_features(
-    buffer: AudioBuffer,
-    cfg: FeatureConfig | None = None,
-    warp: WarpSpec | None = None,
-) -> FeatureMatrix:
-    """Full front end: frames -> power spectra -> warped filterbank ->
+    buffer: AudioBuffer, cfg: FeatureConfig | None = None, *warps: WarpSpec
+) -> list[np.ndarray]:
+    """Full front end, one frames x dims array per warp, in order: frames
+    -> power spectra, once for all warps; then per warp its filterbank ->
     log energies -> (for MFCC) orthonormal DCT-II keeping c0..num_ceps-1,
-    as one product with :func:`_dct_basis`.
+    as one product with :func:`_dct_basis`.  With no warp given it uses
+    the identity warp.
 
     Features depend on the warp only through ``warp.delta_mel``, and a
-    zero shift is bit-identical to the unwarped pipeline.  Pure and
-    deterministic; safe to call from parallel workers.
+    zero shift is bit-identical to the unwarped pipeline.  Each warp's
+    array is the one a call with that warp alone returns, bit for bit.
+    Pure and deterministic; safe to call from parallel workers.
     """
     cfg = cfg if cfg is not None else FeatureConfig()
-    warp = warp if warp is not None else identity_warp()
+    warps = warps or (identity_warp(),)
     sr = buffer.sample_rate
     if cfg.hi_freq > sr / 2:
         raise DomainError(
@@ -307,9 +301,11 @@ def extract_features(
 
     frames = frame_and_window(buffer, cfg)
     pspec = power_spectrum(frames, cfg.dft_size)
-    fbank = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, sr, warp))
-    energies = pspec @ fbank.weights.T
-    feats = np.log(np.maximum(energies, cfg.log_floor))
-    if cfg.feature_kind == MFCC:
-        feats = feats @ _dct_basis(cfg.num_filters, cfg.num_ceps)
-    return FeatureMatrix(np.ascontiguousarray(feats), warp)
+    out = []
+    for warp in warps:
+        weights = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, sr, warp))
+        feats = np.log(np.maximum(pspec @ weights.T, cfg.log_floor))
+        if cfg.feature_kind == MFCC:
+            feats = feats @ _dct_basis(cfg.num_filters, cfg.num_ceps)
+        out.append(np.ascontiguousarray(feats))
+    return out

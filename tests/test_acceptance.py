@@ -68,9 +68,13 @@ def test_c2_warp_identity_bit_exact():
         n = int(rng.integers(4800, 9600))
         buf = AudioBuffer(rng.standard_normal(n) * 0.3, SR, f"u{i}")
         pitch = float(rng.uniform(60.0, 300.0))
-        warped = extract_features(buf, cfg, compute_warp(pitch, pitch))
-        plain = extract_features(buf, cfg, identity_warp())
-        assert np.array_equal(warped.values, plain.values), i
+        zero, identity = compute_warp(pitch, pitch), identity_warp()
+        (warped,) = extract_features(buf, cfg, zero)
+        (plain,) = extract_features(buf, cfg, identity)
+        assert np.array_equal(warped, plain), i
+        together = extract_features(buf, cfg, zero, identity)
+        assert np.array_equal(together[0], together[1]), i
+        assert np.array_equal(together[0], plain), i
     _report(2, "50 random utterances, zero-shift extraction bit-identical")
 
 
@@ -91,13 +95,16 @@ def test_c3_shift_equivalence_and_composition():
             w1.delta_mel, abs=1e-9
         )
         w2 = WarpSpec(u2, d2, w1.delta_mel, w1.clamped)
-        a = extract_features(buf, cfg, w1)
-        b = extract_features(buf, cfg, w2)
-        assert np.array_equal(a.values, b.values)
+        (a,) = extract_features(buf, cfg, w1)
+        (b,) = extract_features(buf, cfg, w2)
+        assert np.array_equal(a, b)
+        together = extract_features(buf, cfg, w1, w2)
+        assert np.array_equal(together[0], together[1])
+        assert np.array_equal(together[0], a)
 
     plan = make_plan(100.0)
     for utterance_pitch in (90.0, 160.0, 270.0):
-        for shift, f0_def in plan.entries():
+        for shift, f0_def in zip(plan.shifts_mel, plan.f0_def_values):
             raw = hz_to_mel(utterance_pitch) - hz_to_mel(f0_def)
             composed = hz_to_mel(utterance_pitch) - hz_to_mel(100.0) + shift
             assert abs(raw - composed) <= 1e-9
@@ -116,21 +123,17 @@ def test_c4_vowel_alignment():
         num_filters=15, lo_freq=20.0, hi_freq=6000.0, feature_kind=LOG_MEL
     )
 
-    def mean_distance(a, b):
-        return float(np.mean(np.linalg.norm(a.values - b.values, axis=1)))
+    def mean_distance(low_warp, high_warp):
+        (a,) = extract_features(low, cfg, low_warp)
+        (b,) = extract_features(high, cfg, high_warp)
+        return float(np.mean(np.linalg.norm(a - b, axis=1)))
 
-    unnormalized = mean_distance(
-        extract_features(low, cfg, identity_warp()),
-        extract_features(high, cfg, identity_warp()),
-    )
+    unnormalized = mean_distance(identity_warp(), identity_warp())
     warps = [
         compute_warp(median_f0(detect_pitch(b), 100.0).f0_utt, 100.0)
         for b in (low, high)
     ]
-    normalized = mean_distance(
-        extract_features(low, cfg, warps[0]),
-        extract_features(high, cfg, warps[1]),
-    )
+    normalized = mean_distance(*warps)
     assert normalized < 0.8 * unnormalized, (normalized, unnormalized)
     _report(
         4,
@@ -148,11 +151,11 @@ def test_c5_shift_sweep_keeps_filters_nonempty_below_nyquist():
     for delta in range(-250, 251):
         coords = warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, float(delta)))
         try:
-            fbank = build_filterbank(cfg, coords)
+            weights = build_filterbank(cfg, coords)
         except Exception as exc:
             bad.append((delta, str(exc)))
             continue
-        contributing = np.flatnonzero((fbank.weights > 0).any(axis=0))
+        contributing = np.flatnonzero((weights > 0).any(axis=0))
         top_hz = contributing.max() * SR / 512
         if top_hz > 8000.0:
             bad.append((delta, f"top bin at {top_hz} Hz"))
@@ -205,13 +208,13 @@ def test_c7_fan_out_and_archive_determinism(tmp_path):
 def test_c8_frame_count_and_format_round_trips(tmp_path, rng):
     """1 s -> 98x13; binary matrices round-trip exactly; text export
     round-trips within 1e-6 relative."""
-    matrix = extract_features(
+    (values,) = extract_features(
         AudioBuffer(rng.standard_normal(SR) * 0.3, SR, "u"), FeatureConfig()
     )
-    assert matrix.values.shape == (98, 13)
+    assert values.shape == (98, 13)
 
-    stored = matrix.values.astype(np.float32)
-    write_matrix(tmp_path / "m.mwf", matrix.values)
+    stored = values.astype(np.float32)
+    write_matrix(tmp_path / "m.mwf", values)
     assert np.array_equal(read_matrix(tmp_path / "m.mwf"), stored)
 
     entries = make_wav_dataset(tmp_path, (120.0,), duration=1.0)

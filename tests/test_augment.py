@@ -70,7 +70,7 @@ class TestMakePlan:
     def test_plan_value_definition(self):
         plan = make_plan(110.0, (0.0, 35.0, -12.5))
         base_mel = hz_to_mel(110.0)
-        for shift, value in plan.entries():
+        for shift, value in zip(plan.shifts_mel, plan.f0_def_values):
             if shift == 0.0:
                 assert value == 110.0
             else:
@@ -105,15 +105,15 @@ class TestAugmentUtterance:
 
     def test_zero_shift_variant_matches_plain_normalized_extraction(self):
         mats, plan, cfg = self._run(UtteranceF0(270.0, 40, False))
-        plain = extract_features(_buffer(), cfg, compute_warp(270.0, 100.0))
+        (plain,) = extract_features(_buffer(), cfg, compute_warp(270.0, 100.0))
         zero_index = plan.shifts_mel.index(0.0)
-        assert np.array_equal(mats[zero_index].values, plain.values)
+        assert np.array_equal(mats[zero_index].values, plain)
 
     def test_unnormalized_zero_shift_matches_baseline_extraction(self):
         mats, plan, cfg = self._run(UtteranceF0(100.0, 0, False))
-        plain = extract_features(_buffer(), cfg, compute_warp(100.0, 100.0))
+        (plain,) = extract_features(_buffer(), cfg, compute_warp(100.0, 100.0))
         zero_index = plan.shifts_mel.index(0.0)
-        assert np.array_equal(mats[zero_index].values, plain.values)
+        assert np.array_equal(mats[zero_index].values, plain)
         assert mats[zero_index].warp.delta_mel == 0.0
 
     def test_unvoiced_fallback_gives_shift_only_deltas(self):
@@ -121,6 +121,11 @@ class TestAugmentUtterance:
         for matrix, shift in zip(mats, plan.shifts_mel):
             assert matrix.warp.delta_mel == pytest.approx(shift, abs=1e-9)
             assert matrix.fallback_used
+
+    def test_meta_records_warp_and_config(self):
+        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
+        for matrix, f0_def in zip(mats, plan.f0_def_values):
+            assert matrix.warp == compute_warp(270.0, f0_def)
 
     def test_metadata_records_shift(self):
         mats, plan, _ = self._run(UtteranceF0(200.0, 12, False))

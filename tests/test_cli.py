@@ -9,11 +9,14 @@ import pytest
 
 import f0warp
 from f0warp import (
+    AudioBuffer,
     FeatureConfig,
     PitchConfig,
+    VowelSpec,
     read_archive_index,
     read_matrix,
     synth_harmonic,
+    synth_vowel,
     write_wav,
 )
 from f0warp.cli import (
@@ -214,10 +217,59 @@ def test_pitch_outputs_csv_and_summary(tmp_path, wav, capsys):
     assert len(lines) == 98  # header + 97 frames
 
 
+PITCH_GOLDEN_CSV = """\
+time,f0,periodicity
+0.0200,160.5019,0.989791
+0.0300,160.0853,0.999800
+0.0400,160.0101,0.999995
+0.0500,160.0086,1.000000
+0.0600,160.0074,1.000000
+0.0700,160.0051,1.000000
+0.0800,160.0070,1.000000
+0.0900,160.0096,1.000000
+0.1000,160.0106,1.000000
+0.1100,160.0076,1.000000
+0.1200,160.0051,1.000000
+0.1300,160.0070,1.000000
+0.1400,160.0096,1.000000
+0.1500,160.0106,1.000000
+0.1600,160.0076,1.000000
+0.1700,160.0051,1.000000
+0.1800,160.0070,1.000000
+0.1900,160.0096,1.000000
+0.2000,488.6929,0.819966
+0.2100,489.3288,0.791630
+0.2200,,0.000000
+0.2300,,0.000000
+"""
+PITCH_GOLDEN_SUMMARY = (
+    '{"source_id": "vowel", "frames": 22, "voiced_count": 20, '
+    '"f0_utt": 160.00855789500528, "fallback_used": false}\n'
+)
+
+
+def test_pitch_csv_and_summary_are_golden(tmp_path, capsys):
+    # A 0.2 s vowel at 160 Hz, then 50 ms of digital silence: voiced and
+    # unvoiced rows.  Both outputs are pinned byte for byte, to files and
+    # to stdout/stderr.
+    spec = VowelSpec(f0=160.0, formants=(500.0, 1500.0, 2500.0),
+                     bandwidths=(60.0, 90.0, 150.0), duration=0.2)
+    wav_path = tmp_path / "vowel.wav"
+    samples = np.concatenate([synth_vowel(spec).samples, np.zeros(800)])
+    write_wav(wav_path, AudioBuffer(samples, 16000))
+    csv_path, summary_path = tmp_path / "f.csv", tmp_path / "s.json"
+    assert main(["pitch", "--in", str(wav_path), "--csv", str(csv_path),
+                 "--summary", str(summary_path)]) == EXIT_OK
+    assert csv_path.read_bytes() == PITCH_GOLDEN_CSV.encode()
+    assert summary_path.read_bytes() == PITCH_GOLDEN_SUMMARY.encode()
+    capsys.readouterr()
+    assert main(["pitch", "--in", str(wav_path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert (out, err) == (PITCH_GOLDEN_CSV, PITCH_GOLDEN_SUMMARY)
+
+
 def test_pitch_on_silence_reports_fallback(tmp_path, capsys):
     wav_path = tmp_path / "sil.wav"
-    from f0warp import AudioBuffer
-
     write_wav(wav_path, AudioBuffer(np.zeros(16000), 16000))
     code = main(["pitch", "--in", str(wav_path), "--csv", str(tmp_path / "c.csv")])
     assert code == EXIT_OK

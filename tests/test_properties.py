@@ -1,5 +1,8 @@
 """Property tests: the method's invariants over random buffers and configs."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,21 +11,29 @@ from hypothesis import strategies as st
 from f0warp import (
     AudioBuffer,
     FeatureConfig,
+    ManifestEntry,
     VowelSpec,
     WarpSpec,
+    build_filterbank,
     compute_warp,
     detect_pitch,
     extract_features,
     hz_to_mel,
     identity_warp,
+    make_plan,
     median_f0,
     mel_to_hz,
+    process_dataset,
     shift_vowel_for_f0,
+    synth_harmonic,
     synth_vowel,
+    warp_bin_mels,
+    write_wav,
 )
 from f0warp import _kernels
-from f0warp.melwarp import LOG_MEL, MFCC, WARPED_HI_FREQ
+from f0warp.melwarp import LOG_MEL, MAX_ABS_SHIFT_MEL, MFCC, WARPED_HI_FREQ
 from f0warp.pitch import DIP_THRESHOLD, _pick_lags
+from tests.conftest import archive_contents
 from tests.test_kernels import (
     _cumulative_mean_difference_loop,
     _parabolic_minimum_loop,
@@ -76,9 +87,13 @@ def test_zero_shift_is_bit_exact(buffer, cfg, f0):
     test_acceptance.py checks this for the default config only; here the
     config and the buffer length vary too.
     """
-    warped = extract_features(buffer, cfg, compute_warp(f0, f0))
-    plain = extract_features(buffer, cfg, identity_warp())
-    assert np.array_equal(warped.values, plain.values)
+    zero, identity = compute_warp(f0, f0), identity_warp()
+    (warped,) = extract_features(buffer, cfg, zero)
+    (plain,) = extract_features(buffer, cfg, identity)
+    assert np.array_equal(warped, plain)
+    together = extract_features(buffer, cfg, zero, identity)
+    assert np.array_equal(together[0], together[1])
+    assert np.array_equal(together[0], plain)
 
 
 @few
@@ -99,9 +114,95 @@ def test_equal_shifts_give_identical_features(buffer, cfg, u1, d1, u2):
     d2 = mel_to_hz(hz_to_mel(u2) - w1.delta_mel)
     assert compute_warp(u2, d2).delta_mel == pytest.approx(w1.delta_mel, abs=1e-9)
     w2 = WarpSpec(u2, d2, w1.delta_mel, w1.clamped)
-    a = extract_features(buffer, cfg, w1)
-    b = extract_features(buffer, cfg, w2)
-    assert np.array_equal(a.values, b.values)
+    (a,) = extract_features(buffer, cfg, w1)
+    (b,) = extract_features(buffer, cfg, w2)
+    assert np.array_equal(a, b)
+    together = extract_features(buffer, cfg, w1, w2)
+    assert np.array_equal(together[0], together[1])
+    assert np.array_equal(together[0], a)
+
+
+shifts = st.floats(-MAX_ABS_SHIFT_MEL, MAX_ABS_SHIFT_MEL)
+
+
+@st.composite
+def warp_lists(draw):
+    """1-5 warps in +/-250 Mels plus the identity and a repeat of one of
+    them, in random order."""
+    deltas = draw(st.lists(shifts, min_size=1, max_size=5))
+    warps = [WarpSpec(100.0, 100.0, d) for d in deltas]
+    warps += [identity_warp(), draw(st.sampled_from(warps))]
+    return draw(st.permutations(warps))
+
+
+@few
+@given(buffers(), configs, warp_lists())
+def test_fan_out_equals_single_extraction(buffer, cfg, warps):
+    """One call with several warps gives, for each warp, the array a call
+    with that warp alone gives, bit for bit: the shared spectrum changes
+    nothing."""
+    together = extract_features(buffer, cfg, *warps)
+    assert len(together) == len(warps)
+    for values, warp in zip(together, warps):
+        (alone,) = extract_features(buffer, cfg, warp)
+        assert np.array_equal(values, alone)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        FeatureConfig,
+        dft_size=st.sampled_from([512, 1024]),
+        num_filters=st.integers(13, 40),
+        lo_freq=st.floats(0.0, 300.0),
+        hi_freq=st.floats(3000.0, WARPED_HI_FREQ),
+    ),
+    shifts,
+)
+def test_every_filter_nonempty_below_nyquist(cfg, delta):
+    """c5: any shift in +/-250 Mels under a ceiling up to 6200 Hz keeps
+    every filter row nonempty and the topmost contributing bin at or below
+    8000 Hz."""
+    weights = build_filterbank(
+        cfg, warp_bin_mels(cfg.dft_size, SR, WarpSpec(100.0, 100.0, delta))
+    )
+    assert weights.shape == (cfg.num_filters, cfg.dft_size // 2 + 1)
+    assert np.all((weights > 0).any(axis=1))
+    top_bin = np.flatnonzero((weights > 0).any(axis=0)).max()
+    assert top_bin * SR / cfg.dft_size <= 8000.0
+
+
+harmonics = st.tuples(st.floats(80.0, 400.0), st.floats(0.3, 0.6))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    st.lists(harmonics, min_size=1, max_size=3), st.floats(0.3, 0.6), st.integers(0, 3)
+)
+def test_archive_bytes_independent_of_worker_count(voiced, silent_s, silent_at):
+    """c7: a small manifest of harmonics and one silent utterance (which
+    takes the unvoiced fallback), normalized over the paper's plan, gives
+    the same archive bytes at 1 and 3 workers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        audio = [synth_harmonic(f0, duration) for f0, duration in voiced]
+        audio.insert(silent_at, AudioBuffer(np.zeros(int(silent_s * SR)), SR))
+        entries = []
+        for i, buffer in enumerate(audio):
+            path = tmp / f"u{i}.wav"
+            write_wav(path, buffer)
+            entries.append(ManifestEntry(id=f"u{i}", audio_path=str(path)))
+        cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
+        archives = []
+        for workers in (1, 3):
+            result = process_dataset(
+                entries, tmp / f"w{workers}", cfg, make_plan(100.0),
+                normalize=True, workers=workers,
+            )
+            assert not result.failures
+            assert any(r.fallback_used for r in result.records)
+            archives.append(archive_contents(tmp / f"w{workers}"))
+        assert archives[0] == archives[1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
