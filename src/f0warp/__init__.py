@@ -32,6 +32,7 @@ from .melwarp import (
     MAX_ABS_SHIFT_MEL,
     MFCC,
     WARPED_HI_FREQ,
+    CeilingTooHigh,
     EmptyFilter,
     FeatureConfig,
     FeatureMatrix,
@@ -39,6 +40,7 @@ from .melwarp import (
     build_filterbank,
     compute_warp,
     extract_features,
+    filterbank_ceiling,
     frame_and_window,
     hz_to_mel,
     identity_warp,

@@ -8,17 +8,16 @@ import sys
 
 import numpy as np
 
-from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
+from .audio_io import AudioIOError, read_wav, write_wav
 from .augment import DEFAULT_BASE_F0_DEF, make_plan
 from .melwarp import (
     BASELINE_HI_FREQ,
     LOG_MEL,
-    MAX_ABS_SHIFT_MEL,
     MFCC,
     WARPED_HI_FREQ,
+    CeilingTooHigh,
     FeatureConfig,
-    hz_to_mel,
-    mel_to_hz,
+    filterbank_ceiling,
 )
 from .pipeline import (
     export_text_archive,
@@ -114,18 +113,11 @@ def _config(cls, flags, args, **fields):
 
 
 def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
-    hi = args.hi_freq
-    nyquist_mel = hz_to_mel(REQUIRED_SAMPLE_RATE / 2)
-    if hi is None:
-        hi = WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
-    elif warped and hz_to_mel(hi) + MAX_ABS_SHIFT_MEL > nyquist_mel:
-        limit = int(mel_to_hz(nyquist_mel - MAX_ABS_SHIFT_MEL))
-        raise UsageError(
-            f"--hi-freq {hi:g} conflicts with warped extraction: a shift of"
-            f" {MAX_ABS_SHIFT_MEL:g} Mels would push the top filter past Nyquist,"
-            f" so warped ceilings must be at or below {limit} Hz (leave --hi-freq"
-            f" unset for {WARPED_HI_FREQ:g} Hz)"
-        )
+    try:
+        hi = filterbank_ceiling(args.hi_freq, warped)
+    except CeilingTooHigh as exc:
+        # The library's message names the config field; name the flag.
+        raise UsageError(str(exc).replace("hi_freq", "--hi-freq")) from None
     return _config(FeatureConfig, FEATURE_FLAGS, args, hi_freq=hi, feature_kind=kind)
 
 

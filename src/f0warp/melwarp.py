@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer
 from .errors import DomainError, TooShort
 
 MEL_LOG_FACTOR = 1127.0
@@ -38,6 +38,10 @@ MFCC = "mfcc"
 
 class EmptyFilter(ValueError):
     """A filter row covers no DFT bin (invalid shift/bandwidth/DFT combo)."""
+
+
+class CeilingTooHigh(ValueError):
+    """A warped filterbank ceiling leaves no room for a full-size shift."""
 
 
 def hz_to_mel(f):
@@ -108,8 +112,8 @@ def warp_bin_mels(dft_size: int, sample_rate: int, warp: WarpSpec) -> np.ndarray
 class FeatureConfig:
     """Extraction parameters.
 
-    ``hi_freq`` defaults to the 8 kHz baseline ceiling; use
-    ``WARPED_HI_FREQ`` (6200 Hz) whenever a nonzero shift may occur.
+    ``hi_freq`` defaults to the 8 kHz baseline ceiling; a warped
+    extraction needs a lower one (see :func:`filterbank_ceiling`).
     """
 
     window: float = 0.025
@@ -153,6 +157,28 @@ class FeatureConfig:
     @property
     def dims(self) -> int:
         return self.num_ceps if self.feature_kind == MFCC else self.num_filters
+
+
+def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
+    """The filterbank ceiling of an extraction, warped or not.
+
+    With ``hi_freq`` None this is BASELINE_HI_FREQ, or WARPED_HI_FREQ when
+    any shift may be nonzero.  A given ``hi_freq`` is returned as it is,
+    unless the extraction is warped and a MAX_ABS_SHIFT_MEL shift would
+    move the top filter past Nyquist; that raises CeilingTooHigh.
+    """
+    if hi_freq is None:
+        return WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
+    nyquist_mel = hz_to_mel(REQUIRED_SAMPLE_RATE / 2)
+    if warped and hz_to_mel(hi_freq) + MAX_ABS_SHIFT_MEL > nyquist_mel:
+        limit = int(mel_to_hz(nyquist_mel - MAX_ABS_SHIFT_MEL))
+        raise CeilingTooHigh(
+            f"hi_freq {hi_freq:g} conflicts with warped extraction: a shift of"
+            f" {MAX_ABS_SHIFT_MEL:g} Mels would push the top filter past Nyquist,"
+            f" so warped ceilings must be at or below {limit} Hz (leave hi_freq"
+            f" unset for {WARPED_HI_FREQ:g} Hz)"
+        )
+    return hi_freq
 
 
 def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav
 from .augment import AugmentationPlan, augment_utterance, make_plan
-from .melwarp import FeatureConfig
+from .melwarp import FeatureConfig, filterbank_ceiling
 from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
 
 MATRIX_MAGIC = b"MWF1"
@@ -168,9 +168,16 @@ def process_dataset(
     byte-identical archives for any worker count.  Failures abort the
     batch in strict mode; otherwise they land in ``report.jsonl`` and
     processing continues.
+
+    Without ``cfg`` the filterbank ceiling follows :func:`filterbank_ceiling`
+    for this run (warped when normalizing or when any plan shift is
+    nonzero); a given warped ``cfg`` whose ceiling is too high raises
+    CeilingTooHigh before any audio is read.
     """
-    cfg = cfg if cfg is not None else FeatureConfig()
     plan = plan if plan is not None else make_plan(shifts_mel=(0.0,))
+    warped = normalize or any(s != 0.0 for s in plan.shifts_mel)
+    hi_freq = filterbank_ceiling(cfg.hi_freq if cfg is not None else None, warped)
+    cfg = cfg if cfg is not None else FeatureConfig(hi_freq=hi_freq)
     pitch_cfg = pitch_cfg if pitch_cfg is not None else PitchConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,23 +1,23 @@
 """Deterministic test-signal synthesis: harmonic trains and vowels.
 
 Vowels are source-filter: a band-limited impulse train excites cascaded
-two-pole resonators, one per formant.  ``shift_vowel_for_f0`` re-places
-the formants of a reference vowel for a new pitch so that every formant
-keeps its Mel-domain distance to f0, which is the placement rule the
-warp-based normalization in :mod:`f0warp.melwarp` is built to exploit.
+two-pole resonators, one per formant, each run as a plain recursion over
+the samples, so synthesis needs numpy alone.  ``shift_vowel_for_f0``
+re-places the formants of a reference vowel for a new pitch so that every
+formant keeps its Mel-domain distance to f0, which is the placement rule
+the warp-based normalization in :mod:`f0warp.melwarp` is built to exploit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer
 from .errors import DomainError
 from .melwarp import hz_to_mel, mel_to_hz
-
-DEFAULT_SAMPLE_RATE = 16000
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def synth_harmonic(
     f0: float,
     duration: float,
     amplitude: float = 0.9,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
+    sample_rate: int = REQUIRED_SAMPLE_RATE,
 ) -> AudioBuffer:
     """Band-limited impulse train at f0, peak-scaled to ``amplitude``."""
     if not 0 < f0 < sample_rate / 2:
@@ -94,18 +94,28 @@ def resonator_coefficients(formants, bandwidths, sample_rate: int):
 
 
 def resonator_cascade(source, a1, a2, gain):
-    """Run a signal through cascaded two-pole sections."""
-    # Imported here so that loading the package (and every command but
-    # synthesis) stays free of scipy.
-    from scipy.signal import lfilter
+    """Run a signal through cascaded two-pole sections, in order.
 
+    Each section is ``y[n] = g*x[n] - a1*y[n-1] - a2*y[n-2]`` from zero
+    state.  The sum is taken in the order of the direct-form-II-transposed
+    loop of ``scipy.signal.lfilter([g], [1, a1, a2], x)``, so the output
+    equals that filter's bit for bit, but for the sign of an exact zero
+    where ``g*x[n]`` is -0.0 (never with a resonator's positive gain and
+    an input free of -0.0).
+    """
     y = np.ascontiguousarray(source, dtype=np.float64)
     for c1, c2, g in zip(a1, a2, gain):
-        y = lfilter([g], [1.0, c1, c2], y)
+        c1, c2, g = float(c1), float(c2), float(g)
+        out = array("d")
+        y1 = y2 = 0.0
+        for x in memoryview(y):
+            y1, y2 = (-(y2 * c2) - y1 * c1) + g * x, y1
+            out.append(y1)
+        y = np.asarray(out)
     return y
 
 
-def synth_vowel(spec: VowelSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
+def synth_vowel(spec: VowelSpec, sample_rate: int = REQUIRED_SAMPLE_RATE) -> AudioBuffer:
     """Impulse train at ``spec.f0`` through the three formant resonators."""
     if spec.formants[-1] >= sample_rate / 2:
         raise DomainError("highest formant must be below Nyquist")
@@ -118,7 +128,7 @@ def synth_vowel(spec: VowelSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Audi
 
 
 def shift_vowel_for_f0(
-    ref: VowelSpec, target_f0: float, sample_rate: int = DEFAULT_SAMPLE_RATE
+    ref: VowelSpec, target_f0: float, sample_rate: int = REQUIRED_SAMPLE_RATE
 ) -> VowelSpec:
     """Re-place formants for a new pitch, preserving Mel distances to f0.
 

@@ -422,21 +422,29 @@ def test_demo_fig1_reports_smaller_normalized_distance(capsys):
 
 def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
     """Loading the CLI adds only standard-library modules to what numpy
-    already loads, and running `process --normalize`, `extract` and `pitch`
-    loads no scipy module either (scipy serves the synthesis commands
-    only).  So a new third-party import, or a lazy one that start-up time
-    would not show, cannot grow the cost of a run unnoticed.  Which stdlib
-    modules appear varies with the Python and numpy versions, so only
-    their origin is checked."""
+    already loads, and running every subcommand loads no scipy module
+    either: numpy is the package's only runtime dependency, and scipy
+    serves only as the tests' oracle.  So a new third-party import, or a
+    lazy one that start-up time would not show, cannot grow the cost of a
+    run unnoticed.  Which stdlib modules appear varies with the Python and
+    numpy versions, so only their origin is checked."""
     wav = tmp_path / "a.wav"
     write_wav(wav, synth_harmonic(180.0, 0.5))
     manifest = tmp_path / "manifest.jsonl"
     write_manifest(manifest, [{"id": "a", "audio": str(wav)}])
+    arch = str(tmp_path / "arch")
     runs = [
-        ["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
-         "--normalize"],
+        ["process", "--manifest", str(manifest), "--out", arch, "--normalize"],
         ["extract", "--in", str(wav), "--out", str(tmp_path / "a.mwf"), "--normalize"],
+        ["fbank", "--in", str(wav), "--out", str(tmp_path / "b.mwf")],
         ["pitch", "--in", str(wav), "--csv", str(tmp_path / "a.csv")],
+        ["inspect", "--in", str(tmp_path / "a.mwf")],
+        ["export-ark", "--archive", arch, "--out", str(tmp_path / "a.ark")],
+        ["synth-harmonic", "--f0", "150", "--duration", "0.2",
+         "--out", str(tmp_path / "h.wav")],
+        ["synth-vowel", "--f0", "150", "--duration", "0.2",
+         "--out", str(tmp_path / "v.wav")],
+        ["demo-fig1", "--duration", "0.3"],
     ]
     probe = (
         "import json, sys\n"
@@ -458,5 +466,5 @@ def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
     assert {name.split(".")[0] for name in added} - {"f0warp"} <= set(
         sys.stdlib_module_names
     )
-    assert codes == [EXIT_OK] * 3
+    assert codes == [EXIT_OK] * len(runs)
     assert scipy == []

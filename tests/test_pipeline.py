@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from f0warp import (
+    CeilingTooHigh,
     DuplicateId,
     FeatureConfig,
     ParseError,
@@ -17,7 +18,8 @@ from f0warp import (
     read_text_archive,
     write_matrix,
 )
-from f0warp.melwarp import WARPED_HI_FREQ
+from f0warp.cli import EXIT_OK, main
+from f0warp.melwarp import BASELINE_HI_FREQ, WARPED_HI_FREQ
 from f0warp.pipeline import ManifestEntry, MatrixFormatError, variant_key
 from tests.conftest import archive_contents, make_wav_dataset, write_manifest
 
@@ -200,6 +202,40 @@ class TestProcessDataset:
             process_dataset(
                 entries, tmp_path / "arch", cfg, plan, normalize=True, strict=True
             )
+
+    def test_default_config_takes_the_warped_ceiling(self, tmp_path):
+        # Normalizing without a config warps from the detected f0, so the
+        # default ceiling must leave room for the shift: a 300 Hz voice
+        # needs +269 Mels, which an 8 kHz top filter cannot take.
+        entries, _, _ = self._setup(tmp_path, f0s=(300.0, 120.0))
+        result = process_dataset(entries, tmp_path / "lib", normalize=True)
+        assert not result.failures
+        assert len(result.records) == 2
+        manifest = str(tmp_path / "m.jsonl")
+        assert main(["process", "--manifest", manifest,
+                     "--out", str(tmp_path / "cli"), "--normalize"]) == EXIT_OK
+        assert archive_contents(tmp_path / "lib") == archive_contents(tmp_path / "cli")
+
+    @pytest.mark.parametrize(
+        "normalize, shifts", [(True, (0.0,)), (False, (0.0, 20.0))]
+    )
+    def test_warped_ceiling_too_high_rejected_before_reading(
+        self, tmp_path, normalize, shifts
+    ):
+        missing = [ManifestEntry(id="a", audio_path=str(tmp_path / "nope.wav"))]
+        with pytest.raises(CeilingTooHigh, match="6269"):
+            process_dataset(
+                missing, tmp_path / "arch", FeatureConfig(),
+                make_plan(100.0, shifts), normalize=normalize,
+            )
+        assert not (tmp_path / "arch").exists()
+
+    def test_unwarped_default_keeps_the_baseline_ceiling(self, tmp_path):
+        entries, _, _ = self._setup(tmp_path, f0s=(120.0,))
+        process_dataset(entries, tmp_path / "lib")
+        plain = FeatureConfig(hi_freq=BASELINE_HI_FREQ)
+        process_dataset(entries, tmp_path / "plain", plain)
+        assert archive_contents(tmp_path / "lib") == archive_contents(tmp_path / "plain")
 
     def test_empty_manifest(self, tmp_path):
         cfg = FeatureConfig()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from f0warp import (
     AudioBuffer,
@@ -33,6 +34,7 @@ from f0warp import (
 from f0warp import _kernels
 from f0warp.melwarp import LOG_MEL, MAX_ABS_SHIFT_MEL, MFCC, WARPED_HI_FREQ
 from f0warp.pitch import DIP_THRESHOLD, _pick_lags
+from f0warp.synthkit import resonator_cascade, resonator_coefficients
 from tests.conftest import archive_contents
 from tests.test_kernels import (
     _cumulative_mean_difference_loop,
@@ -289,3 +291,45 @@ def test_vowel_median_f0_within_50_cents(vowel, f0):
                     bandwidths=(60.0, 90.0, 150.0), duration=0.5)
     uf = median_f0(detect_pitch(synth_vowel(shift_vowel_for_f0(ref, f0))), 100.0)
     assert abs(1200.0 * np.log2(uf.f0_utt / f0)) <= 50.0, uf
+
+
+@st.composite
+def resonator_sections(draw):
+    """(a1, a2, gain) of 1-4 stable two-pole sections: formant resonators,
+    or raw coefficients anywhere in the stability triangle (pole radius
+    below 1, real or complex poles) with a gain of either sign."""
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        formants = [draw(st.floats(50.0, 7900.0)) for _ in range(count)]
+        bandwidths = [draw(st.floats(10.0, 1000.0)) for _ in range(count)]
+        return resonator_coefficients(formants, bandwidths, SR)
+    a2 = [draw(st.floats(-0.999, 0.999)) for _ in range(count)]
+    a1 = [draw(st.floats(-0.999, 0.999)) * (1.0 + c2) for c2 in a2]
+    gain = [draw(st.floats(-4.0, 4.0)) for _ in range(count)]
+    return np.array(a1), np.array(a2), np.array(gain)
+
+
+@st.composite
+def resonator_inputs(draw):
+    """0-3000 samples of noise with exact zeros scattered through it and a
+    silent tail."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(0, 3000))
+    tail = draw(st.integers(0, n))
+    x = rng.standard_normal(n)
+    x[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    x[n - tail:] = 0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(resonator_sections(), resonator_inputs())
+def test_resonator_cascade_matches_lfilter(sections, x):
+    """The synthesizer's own two-pole recursion equals scipy's lfilter run
+    section after section, exactly (a zero output may differ in sign where
+    a negative gain meets a zero input, which array_equal allows)."""
+    a1, a2, gain = sections
+    expected = x
+    for c1, c2, g in zip(a1, a2, gain):
+        expected = lfilter([g], [1.0, c1, c2], expected)
+    assert np.array_equal(resonator_cascade(x, a1, a2, gain), expected)
