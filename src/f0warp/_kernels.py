@@ -16,6 +16,13 @@ not depend on how many rows the call holds, so a frame's output is
 bit-identical whether it is passed alone or inside a block of any size.
 Callers pass blocks of frames to bound the memory of the spectra.
 
+Memory: a call holds at most two complex spectra of its block, and only
+until their product is formed; the lag-0 spectrum goes once it is
+multiplied in and the product once it is inverted.  The squares for the
+energies are written over the call's offset-free copy of the frames, so
+after the FFTs the call holds that copy, the inverse transform (the
+output is a view of it), the cumulative sums and the energies.
+
 Cancellation: ``e_0 + e_tau - 2 r`` leaves rounding residue of the order
 of the energies where ``d`` is (nearly) zero, and the normalization turns
 that residue into dips: a DC stretch would read as voiced.  Two steps keep
@@ -68,10 +75,14 @@ def cumulative_mean_difference(frames, tau_max, span):
     base = np.fft.rfft(frames[:, :span], n_fft, axis=1)
     np.conjugate(base, out=base)
     spec *= base
+    del base
     d = np.fft.irfft(spec, n_fft, axis=1)[:, :tau_max + 1]
+    del spec
 
-    cum_sq = np.zeros((frames.shape[0], width + 1))
-    np.cumsum(np.square(frames), axis=1, out=cum_sq[:, 1:])
+    # frames is this call's own offset-free copy: square it in place.
+    cum_sq = np.empty((frames.shape[0], width + 1))
+    cum_sq[:, 0] = 0.0
+    np.cumsum(np.square(frames, out=frames), axis=1, out=cum_sq[:, 1:])
     energy = cum_sq[:, span:span + tau_max + 1] - cum_sq[:, :tau_max + 1]
     energy += cum_sq[:, span, None]
     d *= -2.0

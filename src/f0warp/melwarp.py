@@ -32,6 +32,10 @@ BASELINE_HI_FREQ = 8000.0
 WARPED_HI_FREQ = 6200.0
 MAX_ABS_SHIFT_MEL = 250.0
 
+# Frames per rFFT call in power_spectrum: bounds the complex spectrum held
+# at once to SPECTRUM_BLOCK x (dft_size/2 + 1) values.
+SPECTRUM_BLOCK = 256
+
 LOG_MEL = "log-mel"
 MFCC = "mfcc"
 
@@ -182,13 +186,18 @@ def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
 
 
 def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:
-    """Weights of the triangles over ``points`` at Mel coordinates ``mels``."""
+    """Weights of the triangles over ``points`` at Mel coordinates ``mels``:
+    coordinates of shape ``(..., bins)`` give weights of shape ``(...,
+    len(points) - 2, bins)``.  Every weight is computed elementwise, so
+    each row of a stack equals its 1-D result bit for bit."""
     left = points[:-2, None]
     center = points[1:-1, None]
     right = points[2:, None]
-    rise = (mels[None, :] - left) / (center - left)
-    fall = (right - mels[None, :]) / (right - center)
-    return np.clip(np.minimum(rise, fall), 0.0, 1.0)
+    mels = mels[..., None, :]
+    rise = (mels - left) / (center - left)
+    fall = (right - mels) / (right - center)
+    np.minimum(rise, fall, out=rise)
+    return np.clip(rise, 0.0, 1.0, out=rise)
 
 
 def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
@@ -196,11 +205,13 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     one row per filter and one column per bin.
 
     ``bin_mels`` are the warped coordinates of DFT bins 0..dft_size/2 as
-    :func:`warp_bin_mels` returns them for ``cfg.dft_size``.  Edges and
-    centers are the num_filters + 2 points equally spaced in Mel over
-    [hz_to_mel(lo_freq), hz_to_mel(hi_freq)]; filter i rises over
-    (point i, point i+1) and falls over (point i+1, point i+2).  A bin
-    outside a triangle gets weight 0.
+    :func:`warp_bin_mels` returns them for ``cfg.dft_size``, or a
+    (warps x bins) stack of such rows; a stack gives a (warps x filters x
+    bins) array whose slice ``[w]`` equals the build from row ``w`` alone,
+    bit for bit.  Edges and centers are the num_filters + 2 points equally
+    spaced in Mel over [hz_to_mel(lo_freq), hz_to_mel(hi_freq)]; filter i
+    rises over (point i, point i+1) and falls over (point i+1, point i+2).
+    A bin outside a triangle gets weight 0.
 
     A real signal's power spectrum is even, so the energy a shifted filter
     would read below 0 Hz is that of bins 1..(dft_size-1)/2 mirrored about
@@ -211,28 +222,39 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     above ``-(hz_to_mel(lo_freq) + hz_to_mel(sample_rate / dft_size))``
     (about -81 Mels for the defaults); below that a folded weight may
     exceed 1.  Raises EmptyFilter when a row still ends up with no
-    positive weight.
+    positive weight, naming the rows (and, for a stack, their warps).
     """
     bin_mels = np.asarray(bin_mels, dtype=np.float64)
-    if bin_mels.ndim != 1 or np.any(np.diff(bin_mels) <= 0):
-        raise ValueError("bin coordinates must be a strictly ascending 1-D array")
-    if bin_mels.shape[0] != cfg.dft_size // 2 + 1:
+    if bin_mels.ndim not in (1, 2) or np.any(np.diff(bin_mels) <= 0):
+        raise ValueError(
+            "bin coordinates must be a strictly ascending 1-D array or a 2-D"
+            " stack of such rows"
+        )
+    if bin_mels.shape[-1] != cfg.dft_size // 2 + 1:
         raise ValueError(
             f"expected {cfg.dft_size // 2 + 1} bin coordinates (bins "
-            f"0..{cfg.dft_size // 2}), got {bin_mels.shape[0]}"
+            f"0..{cfg.dft_size // 2}), got {bin_mels.shape[-1]}"
         )
     points = np.linspace(
         hz_to_mel(cfg.lo_freq), hz_to_mel(cfg.hi_freq), cfg.num_filters + 2
     )
     weights = _triangles(points, bin_mels)
     twinned = slice(1, (cfg.dft_size + 1) // 2)
-    weights[:, twinned] += _triangles(points, 2.0 * bin_mels[0] - bin_mels[twinned])
-    empty = ~(weights > 0).any(axis=1)
+    weights[..., twinned] += _triangles(
+        points, 2.0 * bin_mels[..., :1] - bin_mels[..., twinned]
+    )
+    empty = ~(weights > 0).any(axis=-1)
     if empty.any():
-        rows = np.flatnonzero(empty).tolist()
+        if empty.ndim == 1:
+            where = f"filter rows {np.flatnonzero(empty).tolist()}"
+        else:
+            where = "; ".join(
+                f"warp {w} filter rows {np.flatnonzero(empty[w]).tolist()}"
+                for w in np.flatnonzero(empty.any(axis=1))
+            )
         raise EmptyFilter(
-            f"filter rows {rows} cover no DFT bin; the shift/bandwidth/"
-            "DFT-size combination is invalid"
+            f"{where} cover no DFT bin; the shift/bandwidth/DFT-size"
+            " combination is invalid"
         )
     return weights
 
@@ -262,12 +284,24 @@ def frame_and_window(buffer: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
 
 
 def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
-    """Magnitude-squared DFT of zero-padded frames, bins 0..dft_size/2."""
+    """Magnitude-squared DFT of zero-padded frames, bins 0..dft_size/2.
+
+    The rFFT runs over SPECTRUM_BLOCK frames at a time, and each block's
+    squares go straight into the one output array, so no whole-utterance
+    complex spectrum is ever held.  Every frame is transformed on its own,
+    so the output does not depend on the block size, bit for bit.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-1] > dft_size:
         raise ValueError("frame longer than dft_size")
-    spec = np.fft.rfft(frames, n=dft_size, axis=-1)
-    return spec.real ** 2 + spec.imag ** 2
+    rows = frames.reshape(-1, frames.shape[-1])
+    out = np.empty((rows.shape[0], dft_size // 2 + 1))
+    for start in range(0, rows.shape[0], SPECTRUM_BLOCK):
+        block = out[start:start + SPECTRUM_BLOCK]
+        spec = np.fft.rfft(rows[start:start + SPECTRUM_BLOCK], n=dft_size, axis=-1)
+        np.square(spec.real, out=block)
+        block += np.square(spec.imag, out=spec.imag)
+    return out.reshape(frames.shape[:-1] + out.shape[-1:])
 
 
 def _dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
@@ -305,10 +339,15 @@ def extract_features(
     buffer: AudioBuffer, cfg: FeatureConfig | None = None, *warps: WarpSpec
 ) -> list[np.ndarray]:
     """Full front end, one frames x dims array per warp, in order: frames
-    -> power spectra, once for all warps; then per warp its filterbank ->
-    log energies -> (for MFCC) orthonormal DCT-II keeping c0..num_ceps-1,
-    as one product with :func:`_dct_basis`.  With no warp given it uses
-    the identity warp.
+    -> power spectra, once for all warps; the filterbanks of all warps in
+    one :func:`build_filterbank` call; then per warp its own filterbank
+    product -> log energies -> (for MFCC) orthonormal DCT-II keeping
+    c0..num_ceps-1, as one product with :func:`_dct_basis`.  With no warp
+    given it uses the identity warp.
+
+    Each warp keeps a product of its own: on OpenBLAS one stacked product
+    over all warps' filters rounds differently from per-warp products for
+    some frame counts, which would break the bit-exact guarantees below.
 
     Features depend on the warp only through ``warp.delta_mel``, and a
     zero shift is bit-identical to the unwarped pipeline.  Each warp's
@@ -327,11 +366,14 @@ def extract_features(
 
     frames = frame_and_window(buffer, cfg)
     pspec = power_spectrum(frames, cfg.dft_size)
+    filterbanks = build_filterbank(
+        cfg, np.stack([warp_bin_mels(cfg.dft_size, sr, warp) for warp in warps])
+    )
+    dct = _dct_basis(cfg.num_filters, cfg.num_ceps) if cfg.feature_kind == MFCC else None
     out = []
-    for warp in warps:
-        weights = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, sr, warp))
+    for weights in filterbanks:
         feats = np.log(np.maximum(pspec @ weights.T, cfg.log_floor))
-        if cfg.feature_kind == MFCC:
-            feats = feats @ _dct_basis(cfg.num_filters, cfg.num_ceps)
+        if dct is not None:
+            feats = feats @ dct
         out.append(np.ascontiguousarray(feats))
     return out

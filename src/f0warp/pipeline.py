@@ -12,7 +12,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -119,7 +119,7 @@ class ArchiveRecord:
     path: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
 
 def utterance_variants(

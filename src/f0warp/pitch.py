@@ -31,9 +31,14 @@ DIP_THRESHOLD = 0.2
 # with the relative threshold of McLeod & Wyvill's MPM (2005).
 DIP_TOLERANCE = 0.05
 # Frames per difference-kernel call: bounds the kernel's spectra and d'
-# rows to a few hundred KiB whatever the utterance length.  Output does
-# not depend on it.
-KERNEL_BLOCK = 128
+# rows whatever the utterance length.  Output does not depend on it.  At
+# the default 40 ms window and 50 Hz floor a call's temporaries peak near
+# 18 KiB per frame, about 1.1 MiB at 64 frames.  At 128 frames they
+# outgrew what glibc's malloc keeps after a short utterance's largest
+# array is freed, so every block's pages went back to the OS and were
+# faulted in again: 22k of the 56k minor faults of the seed-7
+# augment-batch batch.
+KERNEL_BLOCK = 64
 # Band-limit FIR: 513 taps (+/-256) applied by overlap-save in 4096-point
 # real FFTs, so 3584 output samples per block.
 BAND_HALF_TAPS = 256

@@ -22,7 +22,7 @@ from f0warp import (
     power_spectrum,
     warp_bin_mels,
 )
-from f0warp.melwarp import LOG_MEL, WARPED_HI_FREQ, _dct_basis
+from f0warp.melwarp import LOG_MEL, SPECTRUM_BLOCK, WARPED_HI_FREQ, _dct_basis
 
 SR = 16000
 
@@ -172,6 +172,26 @@ class TestFilterbank:
         assert lowest.min() > 0 and lowest.max() < 256
         assert np.all(twins[lowest] < 244.0)
 
+    def test_stack_empty_filter_names_warp_and_rows(self):
+        # Under this narrow 20-400 Hz bank a shift of 0 leaves row 1 empty
+        # and one of -100 Mels rows 1 and 6, while +100 and +250 Mels fill
+        # every row: only warps 1 and 3 of the stack are named.
+        cfg = FeatureConfig(lo_freq=20.0, hi_freq=400.0)
+        stack = np.stack([
+            warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, d))
+            for d in (100.0, 0.0, 250.0, -100.0)
+        ])
+        with pytest.raises(EmptyFilter) as info:
+            build_filterbank(cfg, stack)
+        assert str(info.value).startswith(
+            "warp 1 filter rows [1]; warp 3 filter rows [1, 6] cover no DFT bin"
+        )
+
+    def test_three_dimensional_bins_rejected(self):
+        coords = warp_bin_mels(512, SR, identity_warp())
+        with pytest.raises(ValueError):
+            build_filterbank(FeatureConfig(), coords[None, None, :])
+
     def test_wrong_bin_count_rejected(self):
         with pytest.raises(ValueError):
             build_filterbank(FeatureConfig(), warp_bin_mels(256, SR, identity_warp()))
@@ -238,6 +258,27 @@ class TestPowerSpectrum:
     def test_frame_longer_than_dft_rejected(self):
         with pytest.raises(ValueError):
             power_spectrum(np.zeros(600), 512)
+
+    @pytest.mark.parametrize(
+        "n_frames",
+        [1, SPECTRUM_BLOCK - 1, SPECTRUM_BLOCK, SPECTRUM_BLOCK + 1, 2 * SPECTRUM_BLOCK + 1],
+    )
+    def test_blocks_match_one_shot_rfft(self, rng, n_frames):
+        # Either side of a block boundary the blocked spectrum is the power
+        # of one rfft over all frames, bit for bit.
+        frames = rng.standard_normal((n_frames, 400))
+        spec = np.fft.rfft(frames, n=512, axis=-1)
+        one_shot = spec.real ** 2 + spec.imag ** 2
+        ps = power_spectrum(frames, 512)
+        assert ps.shape == (n_frames, 257)
+        assert np.array_equal(ps, one_shot)
+
+    def test_one_dimensional_frame_matches_one_shot_rfft(self, rng):
+        frame = rng.standard_normal(400)
+        spec = np.fft.rfft(frame, n=512)
+        ps = power_spectrum(frame, 512)
+        assert ps.shape == (257,)
+        assert np.array_equal(ps, spec.real ** 2 + spec.imag ** 2)
 
 
 def _dct2_orthonormal_matrix(n):
@@ -313,6 +354,19 @@ class TestExtractFeatures:
         assert compute_warp(180.0, d2).delta_mel == pytest.approx(
             w1.delta_mel, abs=1e-9
         )
+
+    def test_fan_out_equals_single_past_two_spectrum_blocks(self):
+        # 2 * SPECTRUM_BLOCK + 3 frames: the spectrum runs in three blocks,
+        # and each warp of one call still equals its call alone.
+        cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
+        n_frames = 2 * SPECTRUM_BLOCK + 3
+        buf = self._noise(n=400 + 160 * (n_frames - 1))
+        warps = [WarpSpec(100.0, 100.0, d) for d in (0.0, 20.0, -60.0, 250.0, -250.0)]
+        together = extract_features(buf, cfg, *warps)
+        for values, warp in zip(together, warps):
+            (alone,) = extract_features(buf, cfg, warp)
+            assert values.shape == (n_frames, 13)
+            assert np.array_equal(values, alone)
 
     def test_mfcc_shape_and_finite(self):
         (values,) = extract_features(AudioBuffer(np.zeros(16000), SR), FeatureConfig())

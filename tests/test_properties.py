@@ -174,6 +174,29 @@ def test_every_filter_nonempty_below_nyquist(cfg, delta):
     assert top_bin * SR / cfg.dft_size <= 8000.0
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        FeatureConfig,
+        dft_size=st.sampled_from([512, 1024]),
+        num_filters=st.integers(13, 40),
+        lo_freq=st.floats(0.0, 300.0),
+        hi_freq=st.floats(3000.0, WARPED_HI_FREQ),
+    ),
+    st.lists(shifts, min_size=1, max_size=7),
+)
+def test_stacked_filterbank_rows_equal_single_builds(cfg, deltas):
+    """A stack of bin coordinates builds, in one call, each warp's
+    filterbank exactly as the 1-D build of that warp does."""
+    coords = [
+        warp_bin_mels(cfg.dft_size, SR, WarpSpec(100.0, 100.0, d)) for d in deltas
+    ]
+    stacked = build_filterbank(cfg, np.stack(coords))
+    assert stacked.shape == (len(deltas), cfg.num_filters, cfg.dft_size // 2 + 1)
+    for weights, row in zip(stacked, coords):
+        assert np.array_equal(weights, build_filterbank(cfg, row))
+
+
 harmonics = st.tuples(st.floats(80.0, 400.0), st.floats(0.3, 0.6))
 
 
