@@ -99,17 +99,28 @@ def compute_warp(f0_utt: float, f0_def: float) -> WarpSpec:
     return WarpSpec(float(f0_utt), float(f0_def), float(delta), clamped)
 
 
-def warp_bin_mels(dft_size: int, sample_rate: int, warp: WarpSpec) -> np.ndarray:
-    """Warped Mel coordinate of every DFT bin 0..dft_size/2.
+def warp_bin_mels(dft_size: int, sample_rate: int, *warps: WarpSpec) -> np.ndarray:
+    """Warped Mel coordinates of DFT bins 0..dft_size/2, one row per warp.
 
-    Bin k sits at ``hz_to_mel(k * sample_rate / dft_size) - delta_mel``;
-    the shift is constant so the coordinates stay strictly increasing.
-    This is the ``bin_mels`` layout :func:`build_filterbank` expects.  The
-    mirror image of bin k below 0 Hz sits at ``-hz_to_mel(f_k) - delta_mel``,
-    which is ``2 * bin_mels[0] - bin_mels[k]``.
+    Bin k of row w sits at ``hz_to_mel(k * sample_rate / dft_size) -
+    warps[w].delta_mel``; the shift is constant so each row stays strictly
+    increasing.  This is the (warps x bins) stack :func:`build_filterbank`
+    expects.  The mirror image of bin k below 0 Hz sits at
+    ``-hz_to_mel(f_k) - delta_mel``, which is ``2 * row[0] - row[k]``.
     """
     freqs = np.arange(dft_size // 2 + 1) * (sample_rate / dft_size)
-    return hz_to_mel(freqs) - warp.delta_mel
+    deltas = np.array([warp.delta_mel for warp in warps])
+    return hz_to_mel(freqs) - deltas[:, None]
+
+
+def _whole_samples(name: str, seconds: float, sample_rate: int) -> int:
+    """``seconds`` as a whole number of samples; DomainError below one."""
+    count = int(round(seconds * sample_rate))
+    if count < 1:
+        raise DomainError(
+            f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -153,10 +164,10 @@ class FeatureConfig:
             raise ValueError(f"unknown feature_kind {self.feature_kind!r}")
 
     def window_samples(self, sample_rate: int) -> int:
-        return int(round(self.window * sample_rate))
+        return _whole_samples("window", self.window, sample_rate)
 
     def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop * sample_rate))
+        return _whole_samples("hop", self.hop, sample_rate)
 
     @property
     def dims(self) -> int:
@@ -189,7 +200,7 @@ def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:
     """Weights of the triangles over ``points`` at Mel coordinates ``mels``:
     coordinates of shape ``(..., bins)`` give weights of shape ``(...,
     len(points) - 2, bins)``.  Every weight is computed elementwise, so
-    each row of a stack equals its 1-D result bit for bit."""
+    each row of a stack equals its result as a one-row stack, bit for bit."""
     left = points[:-2, None]
     center = points[1:-1, None]
     right = points[2:, None]
@@ -201,17 +212,16 @@ def _triangles(points: np.ndarray, mels: np.ndarray) -> np.ndarray:
 
 
 def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
-    """Weights of ``cfg.num_filters`` triangles at the given bin coordinates,
-    one row per filter and one column per bin.
+    """Weights of ``cfg.num_filters`` triangles at each warp's bin
+    coordinates, as a (warps x filters x bins) array.
 
-    ``bin_mels`` are the warped coordinates of DFT bins 0..dft_size/2 as
-    :func:`warp_bin_mels` returns them for ``cfg.dft_size``, or a
-    (warps x bins) stack of such rows; a stack gives a (warps x filters x
-    bins) array whose slice ``[w]`` equals the build from row ``w`` alone,
-    bit for bit.  Edges and centers are the num_filters + 2 points equally
-    spaced in Mel over [hz_to_mel(lo_freq), hz_to_mel(hi_freq)]; filter i
-    rises over (point i, point i+1) and falls over (point i+1, point i+2).
-    A bin outside a triangle gets weight 0.
+    ``bin_mels`` is the (warps x bins) stack of warped coordinates of DFT
+    bins 0..dft_size/2 that :func:`warp_bin_mels` returns for
+    ``cfg.dft_size``; slice ``[w]`` of the result equals the build from
+    row ``w`` alone, bit for bit.  Edges and centers are the num_filters +
+    2 points equally spaced in Mel over [hz_to_mel(lo_freq),
+    hz_to_mel(hi_freq)]; filter i rises over (point i, point i+1) and falls
+    over (point i+1, point i+2).  A bin outside a triangle gets weight 0.
 
     A real signal's power spectrum is even, so the energy a shifted filter
     would read below 0 Hz is that of bins 1..(dft_size-1)/2 mirrored about
@@ -222,13 +232,12 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     above ``-(hz_to_mel(lo_freq) + hz_to_mel(sample_rate / dft_size))``
     (about -81 Mels for the defaults); below that a folded weight may
     exceed 1.  Raises EmptyFilter when a row still ends up with no
-    positive weight, naming the rows (and, for a stack, their warps).
+    positive weight, naming each such warp and its rows.
     """
     bin_mels = np.asarray(bin_mels, dtype=np.float64)
-    if bin_mels.ndim not in (1, 2) or np.any(np.diff(bin_mels) <= 0):
+    if bin_mels.ndim != 2 or np.any(np.diff(bin_mels) <= 0):
         raise ValueError(
-            "bin coordinates must be a strictly ascending 1-D array or a 2-D"
-            " stack of such rows"
+            "bin coordinates must be a (warps x bins) stack of strictly ascending rows"
         )
     if bin_mels.shape[-1] != cfg.dft_size // 2 + 1:
         raise ValueError(
@@ -245,13 +254,10 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     )
     empty = ~(weights > 0).any(axis=-1)
     if empty.any():
-        if empty.ndim == 1:
-            where = f"filter rows {np.flatnonzero(empty).tolist()}"
-        else:
-            where = "; ".join(
-                f"warp {w} filter rows {np.flatnonzero(empty[w]).tolist()}"
-                for w in np.flatnonzero(empty.any(axis=1))
-            )
+        where = "; ".join(
+            f"warp {w} filter rows {np.flatnonzero(empty[w]).tolist()}"
+            for w in np.flatnonzero(empty.any(axis=1))
+        )
         raise EmptyFilter(
             f"{where} cover no DFT bin; the shift/bandwidth/DFT-size"
             " combination is invalid"
@@ -278,13 +284,13 @@ def frame_and_window(buffer: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     emphasized = np.empty_like(x)
     emphasized[0] = x[0]
     emphasized[1:] = x[1:] - cfg.preemphasis * x[:-1]
-    n_frames = 1 + (x.shape[0] - win) // hop
     windows = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop]
-    return windows[:n_frames] * np.hamming(win)
+    return windows * np.hamming(win)
 
 
 def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
-    """Magnitude-squared DFT of zero-padded frames, bins 0..dft_size/2.
+    """Magnitude-squared DFT of each zero-padded row of a (frames x
+    samples) matrix, as a (frames x bins) matrix over bins 0..dft_size/2.
 
     The rFFT runs over SPECTRUM_BLOCK frames at a time, and each block's
     squares go straight into the one output array, so no whole-utterance
@@ -292,16 +298,15 @@ def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
     so the output does not depend on the block size, bit for bit.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1] > dft_size:
-        raise ValueError("frame longer than dft_size")
-    rows = frames.reshape(-1, frames.shape[-1])
-    out = np.empty((rows.shape[0], dft_size // 2 + 1))
-    for start in range(0, rows.shape[0], SPECTRUM_BLOCK):
+    if frames.ndim != 2 or frames.shape[1] > dft_size:
+        raise ValueError("need a (frames x samples) matrix, frames no longer than dft_size")
+    out = np.empty((frames.shape[0], dft_size // 2 + 1))
+    for start in range(0, frames.shape[0], SPECTRUM_BLOCK):
         block = out[start:start + SPECTRUM_BLOCK]
-        spec = np.fft.rfft(rows[start:start + SPECTRUM_BLOCK], n=dft_size, axis=-1)
+        spec = np.fft.rfft(frames[start:start + SPECTRUM_BLOCK], n=dft_size, axis=-1)
         np.square(spec.real, out=block)
         block += np.square(spec.imag, out=spec.imag)
-    return out.reshape(frames.shape[:-1] + out.shape[-1:])
+    return out
 
 
 def _dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
@@ -339,7 +344,8 @@ def extract_features(
     buffer: AudioBuffer, cfg: FeatureConfig | None = None, *warps: WarpSpec
 ) -> list[np.ndarray]:
     """Full front end, one frames x dims array per warp, in order: frames
-    -> power spectra, once for all warps; the filterbanks of all warps in
+    -> power spectra, once for all warps (the frame matrix is freed as
+    soon as the spectra exist); the filterbanks of all warps in
     one :func:`build_filterbank` call; then per warp its own filterbank
     product -> log energies -> (for MFCC) orthonormal DCT-II keeping
     c0..num_ceps-1, as one product with :func:`_dct_basis`.  With no warp
@@ -364,11 +370,8 @@ def extract_features(
     if cfg.dft_size < cfg.window_samples(sr):
         raise ValueError("dft_size must cover the analysis window")
 
-    frames = frame_and_window(buffer, cfg)
-    pspec = power_spectrum(frames, cfg.dft_size)
-    filterbanks = build_filterbank(
-        cfg, np.stack([warp_bin_mels(cfg.dft_size, sr, warp) for warp in warps])
-    )
+    pspec = power_spectrum(frame_and_window(buffer, cfg), cfg.dft_size)
+    filterbanks = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, sr, *warps))
     dct = _dct_basis(cfg.num_filters, cfg.num_ceps) if cfg.feature_kind == MFCC else None
     out = []
     for weights in filterbanks:

@@ -7,8 +7,7 @@ parabolic interpolation, and ``1 - dip depth`` serves as a periodicity
 score in [0, 1].  A frame whose samples are all equal scores 0.
 
 The band-limit is a zero-phase low-pass applied with ``numpy.fft`` in
-fixed blocks (see ``_band_limit``), so tracking needs nothing beyond
-numpy.
+blocks (see ``_band_limit``), so tracking needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -39,12 +38,15 @@ DIP_TOLERANCE = 0.05
 # faulted in again: 22k of the 56k minor faults of the seed-7
 # augment-batch batch.
 KERNEL_BLOCK = 64
-# Band-limit FIR: 513 taps (+/-256) applied by overlap-save in 4096-point
-# real FFTs, so 3584 output samples per block.
+# Band-limit FIR: at least 513 taps (+/-256) applied by overlap-save in
+# 4096-point real FFTs, so 3584 output samples per block.  Both double
+# while a dropped tap is BAND_TAIL of the centre tap or more.
 BAND_HALF_TAPS = 256
 BAND_FFT = 4096
-# Blocks per FFT call: enough to amortize the call, few enough that the
-# spectra stay a few hundred KiB.  Output does not depend on it.
+BAND_TAIL = 1e-15
+# Blocks of BAND_FFT points per FFT call (fewer, for longer blocks): enough
+# to amortize the call, few enough that the spectra stay a few hundred
+# KiB.  Output does not depend on it.
 BAND_BLOCKS = 8
 # Odd extension at each end, as scipy's sosfiltfilt pads a 4th-order
 # (two-section) filter: 3 * (2 * sections + 1) samples.
@@ -88,9 +90,6 @@ class PitchTrack:
     frames: tuple
     frame_shift: float
 
-    def voiced_f0s(self) -> list:
-        return [f.f0 for f in self.frames if f.f0 is not None]
-
 
 @dataclass(frozen=True)
 class UtteranceF0:
@@ -108,12 +107,14 @@ def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
     run forward and backward (scipy's ``butter`` + ``sosfiltfilt``), whose
     power response has the closed form
     ``1 / (1 + (tan(w / 2) / tan(w_c / 2))**8)`` with zero phase.  Its
-    impulse response is truncated to ``2 * BAND_HALF_TAPS + 1`` taps and
-    applied by overlap-save in ``BAND_FFT``-point blocks, BAND_BLOCKS
-    blocks per FFT call.  At the default cutoff (1200 Hz) every dropped
-    tap is below 1e-16 of the centre tap.  A lower cutoff rings longer, so
-    there the truncation shows: about 2e-13 of the peak at ``f0_max`` =
-    300 Hz and 1e-5 at 100 Hz.
+    impulse response is truncated to ``2 * half + 1`` taps and applied by
+    overlap-save in ``16 * half``-point blocks.  ``half`` starts at
+    BAND_HALF_TAPS and doubles while a dropped tap is BAND_TAIL of the
+    centre tap or more, since a lower cutoff rings longer: 256 at the
+    default cutoff (1200 Hz, where every dropped tap is below 1e-16 of the
+    centre tap), 1024 at ``f0_max`` = 100 Hz, 2048 at 60 Hz.  It stops
+    doubling once the taps outreach the signal, as the dropped ones then
+    read only the padding, so memory stays linear in the signal length.
 
     The signal is padded like ``sosfiltfilt``: an odd extension of
     BAND_ODD_PAD samples at each end; beyond that the outermost extension
@@ -131,32 +132,34 @@ def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
     if n <= BAND_ODD_PAD:
         return x
     cutoff = min(2.4 * f0_max, 0.45 * sample_rate)
-    half = BAND_HALF_TAPS
-    step = BAND_FFT - 2 * half
-
-    omega = np.linspace(0.0, np.pi, BAND_FFT // 2 + 1)
-    ratio = np.tan(omega / 2) / np.tan(np.pi * cutoff / sample_rate)
-    taps = np.fft.irfft(1.0 / (1.0 + ratio ** 8), BAND_FFT)
-    taps[half + 1:BAND_FFT - half] = 0.0
+    half, size = BAND_HALF_TAPS, BAND_FFT
+    while True:
+        omega = np.linspace(0.0, np.pi, size // 2 + 1)
+        ratio = np.tan(omega / 2) / np.tan(np.pi * cutoff / sample_rate)
+        taps = np.fft.irfft(1.0 / (1.0 + ratio ** 8), size)
+        dropped = taps[half + 1:size - half]
+        if half >= n or np.abs(dropped).max() < BAND_TAIL * taps[0]:
+            break
+        half, size = 2 * half, 2 * size
+    dropped[:] = 0.0
     response = np.fft.rfft(taps)
+    step = size - 2 * half
+    per_call = max(1, BAND_BLOCKS * BAND_FFT // size)
 
     n_out = -(-n // step) * step
-    padded = np.empty(n_out + 2 * half)
-    head = 2.0 * x[0] - x[BAND_ODD_PAD:0:-1]
-    tail = 2.0 * x[-1] - x[-2:-BAND_ODD_PAD - 2:-1]
-    padded[:half] = head[0]
-    padded[half - BAND_ODD_PAD:half] = head
-    padded[half:half + n] = x
-    padded[half + n:] = tail[-1]
-    padded[half + n:half + n + BAND_ODD_PAD] = tail
+    padded = np.pad(
+        np.pad(x, BAND_ODD_PAD, mode="reflect", reflect_type="odd"),
+        (half - BAND_ODD_PAD, n_out - n + half - BAND_ODD_PAD),
+        mode="edge",
+    )
 
-    blocks = np.lib.stride_tricks.sliding_window_view(padded, BAND_FFT)[::step]
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, size)[::step]
     out = np.empty((blocks.shape[0], step))
-    for first in range(0, blocks.shape[0], BAND_BLOCKS):
-        group = slice(first, first + BAND_BLOCKS)
+    for first in range(0, blocks.shape[0], per_call):
+        group = slice(first, first + per_call)
         spec = np.fft.rfft(blocks[group], axis=1)
         spec *= response
-        out[group] = np.fft.irfft(spec, BAND_FFT, axis=1)[:, half:half + step]
+        out[group] = np.fft.irfft(spec, size, axis=1)[:, half:half + step]
     return out.reshape(-1)[:n]
 
 
@@ -207,6 +210,8 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
     sr = buffer.sample_rate
     win = int(round(cfg.window * sr))
     hop = int(round(cfg.shift * sr))
+    if hop < 1:
+        raise DomainError(f"pitch shift of {cfg.shift:g} s is under one sample at {sr} Hz")
     x = buffer.samples
     if x.shape[0] < win:
         raise TooShort(
@@ -257,7 +262,7 @@ def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:
     """
     if not 0 < default_f0 < math.inf:
         raise DomainError("default_f0 must be positive and finite")
-    voiced = sorted(track.voiced_f0s())
+    voiced = sorted(f.f0 for f in track.frames if f.f0 is not None)
     if not voiced:
         return UtteranceF0(f0_utt=float(default_f0), voiced_count=0, fallback_used=True)
     return UtteranceF0(

@@ -151,7 +151,7 @@ def test_c5_shift_sweep_keeps_filters_nonempty_below_nyquist():
     for delta in range(-250, 251):
         coords = warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, float(delta)))
         try:
-            weights = build_filterbank(cfg, coords)
+            (weights,) = build_filterbank(cfg, coords)
         except Exception as exc:
             bad.append((delta, str(exc)))
             continue

@@ -188,6 +188,31 @@ def test_nonfinite_numbers_rejected(tmp_path, wav, capsys):
     assert not summary.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, setting", [("--hop", "hop"), ("--window", "window"), ("--pitch-shift", "pitch shift")]
+)
+def test_setting_under_one_sample_is_a_clean_error(tmp_path, wav, capsys, flag, setting):
+    out = tmp_path / "x.mwf"
+    code = main(["extract", "--in", str(wav), "--out", str(out), "--normalize",
+                 flag, "0.00001"])
+    assert code == EXIT_FATAL
+    assert capsys.readouterr().err == (
+        f"f0warp: DomainError: {setting} of 1e-05 s is under one sample at 16000 Hz\n"
+    )
+    assert not out.exists()
+
+
+def test_process_reports_hop_under_one_sample(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, make_wav_dataset(tmp_path, (95.0,)))
+    out_dir = tmp_path / "arch"
+    code = main(["process", "--manifest", str(manifest), "--out", str(out_dir),
+                 "--hop", "0.00001"])
+    assert code == EXIT_PARTIAL
+    report = [json.loads(line) for line in (out_dir / "report.jsonl").read_text().splitlines()]
+    assert [r["error"] for r in report] == ["DomainError"]
+
+
 def test_synth_harmonic_writes_wav(tmp_path, capsys):
     out = tmp_path / "h.wav"
     code = main(["synth-harmonic", "--f0", "100", "--duration", "0.5",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfiltfilt
@@ -198,6 +200,29 @@ class TestBandLimit:
         # IIR initial state and the held edge part ways.
         assert err[512:n - 512].max(initial=0.0) <= 1e-12
         assert err.max() <= 0.02
+
+    @pytest.mark.parametrize("f0_max", [100.0, 60.0])
+    def test_low_cutoff_matches_sosfiltfilt(self, f0_max):
+        # A low cutoff rings longer than 513 taps reach: with them the
+        # output was 1e-5 (100 Hz) and 3e-4 (60 Hz) of the peak off.
+        n = 40_000
+        x = np.random.default_rng(7).standard_normal(n)
+        want = _sosfiltfilt(x, f0_max)
+        err = np.abs(pitch._band_limit(x, SR, f0_max) - want) / np.abs(want).max()
+        assert err[4000:n - 4000].max() <= 1e-12
+
+    def test_taps_stop_growing_at_the_signal_length(self):
+        # A 1.2 Hz cutoff would ask for half a million taps; a signal of
+        # 2000 samples caps them at 2048, and the spectra at a few MiB.
+        x = np.random.default_rng(2).standard_normal(2000)
+        tracemalloc.start()
+        try:
+            out = pitch._band_limit(x, SR, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape and np.all(np.isfinite(out))
+        assert peak < 4 * 2**20
 
     def test_short_buffers_pass_through(self):
         rng = np.random.default_rng(1)

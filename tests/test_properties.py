@@ -165,7 +165,7 @@ def test_every_filter_nonempty_below_nyquist(cfg, delta):
     """c5: any shift in +/-250 Mels under a ceiling up to 6200 Hz keeps
     every filter row nonempty and the topmost contributing bin at or below
     8000 Hz."""
-    weights = build_filterbank(
+    (weights,) = build_filterbank(
         cfg, warp_bin_mels(cfg.dft_size, SR, WarpSpec(100.0, 100.0, delta))
     )
     assert weights.shape == (cfg.num_filters, cfg.dft_size // 2 + 1)
@@ -187,14 +187,13 @@ def test_every_filter_nonempty_below_nyquist(cfg, delta):
 )
 def test_stacked_filterbank_rows_equal_single_builds(cfg, deltas):
     """A stack of bin coordinates builds, in one call, each warp's
-    filterbank exactly as the 1-D build of that warp does."""
-    coords = [
-        warp_bin_mels(cfg.dft_size, SR, WarpSpec(100.0, 100.0, d)) for d in deltas
-    ]
-    stacked = build_filterbank(cfg, np.stack(coords))
+    filterbank exactly as a one-row stack of that warp does."""
+    warps = [WarpSpec(100.0, 100.0, d) for d in deltas]
+    stacked = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, SR, *warps))
     assert stacked.shape == (len(deltas), cfg.num_filters, cfg.dft_size // 2 + 1)
-    for weights, row in zip(stacked, coords):
-        assert np.array_equal(weights, build_filterbank(cfg, row))
+    for weights, warp in zip(stacked, warps):
+        alone = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, SR, warp))
+        assert np.array_equal(weights[None], alone)
 
 
 harmonics = st.tuples(st.floats(80.0, 400.0), st.floats(0.3, 0.6))
