@@ -5,6 +5,9 @@ shifted in the Mel domain by the gap between the utterance's median f0
 and a target f0, which normalizes speakers toward a common acoustic
 space.  Driving the same shift through a set of fixed Mel offsets turns
 the mechanism into a data-augmentation fan-out.
+
+The sample rate is fixed at 16 kHz (``REQUIRED_SAMPLE_RATE``), so
+``FeatureConfig`` and ``PitchConfig`` check every setting when built.
 """
 
 from .audio_io import (

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import struct
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
+
+# The package's only sample rate: buffers, configs and synthesis all use it.
 REQUIRED_SAMPLE_RATE = 16000
 
 # Symmetric dequantization: divide by 32768 (not 32767) so that the
@@ -36,13 +39,22 @@ class RateMismatch(AudioIOError):
     pass
 
 
+def whole_samples(name: str, seconds: float) -> int:
+    """``seconds`` as a whole number of samples; DomainError below one."""
+    count = int(round(seconds * REQUIRED_SAMPLE_RATE))
+    if count < 1:
+        raise DomainError(
+            f"{name} of {seconds:g} s is under one sample at {REQUIRED_SAMPLE_RATE} Hz"
+        )
+    return count
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono PCM samples in [-1, 1] at a fixed rate."""
+    """Mono PCM samples in [-1, 1] at the fixed REQUIRED_SAMPLE_RATE."""
 
     samples: np.ndarray
-    sample_rate: int
-    source_id: str = ""
+    source_id: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -50,23 +62,18 @@ class AudioBuffer:
             raise ValueError("samples must be a 1-D array")
         if not np.isfinite(samples).all():
             raise ValueError("samples must all be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[0] / self.sample_rate
-
 
 def read_wav(path, source_id: str | None = None) -> AudioBuffer:
     """Read a RIFF/WAVE file into an AudioBuffer.
 
-    Only linear PCM, mono, 16-bit, 16000 Hz input is accepted; anything
-    else raises (there is no implicit resampling or downmixing).
+    Only linear PCM, mono, 16-bit input at REQUIRED_SAMPLE_RATE (16 kHz,
+    the package's only rate) is accepted; anything else raises (there is
+    no implicit resampling or downmixing).
     Deterministic: identical bytes produce identical buffers.
     """
     path = Path(path)
@@ -112,7 +119,7 @@ def read_wav(path, source_id: str | None = None) -> AudioBuffer:
 
     raw = np.frombuffer(payload, dtype="<i2")
     samples = raw.astype(np.float64) / PCM_SCALE
-    return AudioBuffer(samples, rate, source_id if source_id is not None else path.stem)
+    return AudioBuffer(samples, source_id=source_id if source_id is not None else path.stem)
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:
@@ -122,5 +129,5 @@ def write_wav(path, buffer: AudioBuffer) -> None:
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
-        handle.setframerate(buffer.sample_rate)
+        handle.setframerate(REQUIRED_SAMPLE_RATE)
         handle.writeframes(pcm.tobytes())

@@ -55,7 +55,8 @@ def make_plan(
 
     Entry i uses ``f0_def = mel_to_hz(hz_to_mel(base) - shift_i)``; the
     zero shift maps to the base exactly.  The base must be positive and
-    finite; shifts must be finite, distinct and include 0.
+    finite; shifts must be finite, distinct, include 0 and stay below
+    ``hz_to_mel(base)``, so that every target is a positive pitch.
     """
     if not 0 < base_f0_def < math.inf:
         raise DomainError("base_f0_def must be positive and finite")
@@ -69,6 +70,11 @@ def make_plan(
     if 0.0 not in shifts:
         raise MissingZeroShift("the zero shift must be part of every plan")
     base_mel = hz_to_mel(base_f0_def)
+    if max(shifts) >= base_mel:
+        raise DomainError(
+            f"shift {max(shifts):g} Mel must be below {base_mel:.1f} Mel, the Mel"
+            f" value of the {base_f0_def:g} Hz base, for a positive target f0"
+        )
     values = tuple(
         float(base_f0_def) if s == 0.0 else mel_to_hz(base_mel - s) for s in shifts
     )

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .audio_io import AudioIOError, read_wav, write_wav
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
 from .augment import DEFAULT_BASE_F0_DEF, make_plan
 from .melwarp import (
     BASELINE_HI_FREQ,
@@ -126,8 +126,9 @@ def _emit(obj) -> None:
 
 
 def cmd_pitch(args) -> int:
+    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffer = read_wav(args.infile)
-    track = detect_pitch(buffer, _config(PitchConfig, PITCH_FLAGS, args))
+    track = detect_pitch(buffer, pitch_cfg)
     summary_target = median_f0(track, args.f0_def)
 
     lines = ["time,f0,periodicity"]
@@ -195,6 +196,7 @@ def cmd_process(args) -> int:
     plan = make_plan(args.f0_def, args.augment_shifts)
     warped = args.normalize or any(s != 0.0 for s in plan.shifts_mel)
     cfg = _feature_config(args, warped=warped, kind=args.feature_kind)
+    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     entries = read_manifest(args.manifest)
     result = process_dataset(
         entries,
@@ -202,7 +204,7 @@ def cmd_process(args) -> int:
         cfg=cfg,
         plan=plan,
         normalize=args.normalize,
-        pitch_cfg=_config(PitchConfig, PITCH_FLAGS, args),
+        pitch_cfg=pitch_cfg,
         strict=args.strict,
         workers=args.workers,
     )
@@ -239,11 +241,14 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth_harmonic(args) -> int:
-    buffer = synth_harmonic(args.f0, args.duration, args.amplitude)
-    write_wav(args.out, buffer)
-    _emit({"out": str(args.out), "samples": len(buffer), "sample_rate": buffer.sample_rate})
+def _write_synth(path, buffer) -> int:
+    write_wav(path, buffer)
+    _emit({"out": str(path), "samples": len(buffer), "sample_rate": REQUIRED_SAMPLE_RATE})
     return EXIT_OK
+
+
+def cmd_synth_harmonic(args) -> int:
+    return _write_synth(args.out, synth_harmonic(args.f0, args.duration, args.amplitude))
 
 
 def cmd_synth_vowel(args) -> int:
@@ -254,10 +259,7 @@ def cmd_synth_vowel(args) -> int:
         duration=args.duration,
         amplitude=args.amplitude,
     )
-    buffer = synth_vowel(spec)
-    write_wav(args.out, buffer)
-    _emit({"out": str(args.out), "samples": len(buffer), "sample_rate": buffer.sample_rate})
-    return EXIT_OK
+    return _write_synth(args.out, synth_vowel(spec))
 
 
 def cmd_demo_fig1(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
 from .errors import DomainError, TooShort
 
 MEL_LOG_FACTOR = 1127.0
@@ -99,35 +99,24 @@ def compute_warp(f0_utt: float, f0_def: float) -> WarpSpec:
     return WarpSpec(float(f0_utt), float(f0_def), float(delta), clamped)
 
 
-def warp_bin_mels(dft_size: int, sample_rate: int, *warps: WarpSpec) -> np.ndarray:
+def warp_bin_mels(dft_size: int, *warps: WarpSpec) -> np.ndarray:
     """Warped Mel coordinates of DFT bins 0..dft_size/2, one row per warp.
 
-    Bin k of row w sits at ``hz_to_mel(k * sample_rate / dft_size) -
+    Bin k of row w sits at ``hz_to_mel(k * REQUIRED_SAMPLE_RATE / dft_size) -
     warps[w].delta_mel``; the shift is constant so each row stays strictly
     increasing.  This is the (warps x bins) stack :func:`build_filterbank`
     expects.  The mirror image of bin k below 0 Hz sits at
     ``-hz_to_mel(f_k) - delta_mel``, which is ``2 * row[0] - row[k]``.
     """
-    freqs = np.arange(dft_size // 2 + 1) * (sample_rate / dft_size)
+    freqs = np.arange(dft_size // 2 + 1) * (REQUIRED_SAMPLE_RATE / dft_size)
     deltas = np.array([warp.delta_mel for warp in warps])
     return hz_to_mel(freqs) - deltas[:, None]
 
 
-def _whole_samples(name: str, seconds: float, sample_rate: int) -> int:
-    """``seconds`` as a whole number of samples; DomainError below one."""
-    count = int(round(seconds * sample_rate))
-    if count < 1:
-        raise DomainError(
-            f"{name} of {seconds:g} s is under one sample at {sample_rate} Hz"
-        )
-    return count
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction parameters.
-
-    ``hi_freq`` defaults to the 8 kHz baseline ceiling; a warped
+    """Extraction parameters, checked when built against the fixed 16 kHz
+    rate.  ``hi_freq`` defaults to the 8 kHz baseline ceiling; a warped
     extraction needs a lower one (see :func:`filterbank_ceiling`).
     """
 
@@ -146,8 +135,6 @@ class FeatureConfig:
         floats = [v for v in vars(self).values() if isinstance(v, float)]
         if not all(map(math.isfinite, floats)):
             raise ValueError("feature settings must be finite")
-        if self.window <= 0 or self.hop <= 0:
-            raise ValueError("window and hop must be positive")
         if not 0 <= self.lo_freq < self.hi_freq:
             raise ValueError("need 0 <= lo_freq < hi_freq")
         if self.num_filters < 1:
@@ -162,12 +149,17 @@ class FeatureConfig:
             raise ValueError("log_floor must be positive")
         if self.feature_kind not in (LOG_MEL, MFCC):
             raise ValueError(f"unknown feature_kind {self.feature_kind!r}")
+        if self.hi_freq > REQUIRED_SAMPLE_RATE / 2:
+            raise DomainError(
+                f"hi_freq {self.hi_freq} Hz exceeds Nyquist for"
+                f" {REQUIRED_SAMPLE_RATE} Hz audio"
+            )
+        if self.dft_size < self.in_samples()[0]:
+            raise ValueError("dft_size must cover the analysis window")
 
-    def window_samples(self, sample_rate: int) -> int:
-        return _whole_samples("window", self.window, sample_rate)
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return _whole_samples("hop", self.hop, sample_rate)
+    def in_samples(self) -> tuple:
+        """(window, hop) in samples; DomainError for either under one."""
+        return whole_samples("window", self.window), whole_samples("hop", self.hop)
 
     @property
     def dims(self) -> int:
@@ -229,7 +221,7 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     the triangles are evaluated there too and the weights are added onto
     bin k (DC and, for an even dft_size, Nyquist have no twin).  The twins
     lie below every filter, and so add exact zeros, for any shift at or
-    above ``-(hz_to_mel(lo_freq) + hz_to_mel(sample_rate / dft_size))``
+    above ``-(hz_to_mel(lo_freq) + hz_to_mel(REQUIRED_SAMPLE_RATE / dft_size))``
     (about -81 Mels for the defaults); below that a folded weight may
     exceed 1.  Raises EmptyFilter when a row still ends up with no
     positive weight, naming each such warp and its rows.
@@ -273,9 +265,7 @@ def frame_and_window(buffer: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     precedes it in the buffer (0 before the very first sample), so frames
     see a seamless pre-emphasized signal.
     """
-    sr = buffer.sample_rate
-    win = cfg.window_samples(sr)
-    hop = cfg.hop_samples(sr)
+    win, hop = cfg.in_samples()
     x = buffer.samples
     if x.shape[0] < win:
         raise TooShort(
@@ -362,16 +352,8 @@ def extract_features(
     """
     cfg = cfg if cfg is not None else FeatureConfig()
     warps = warps or (identity_warp(),)
-    sr = buffer.sample_rate
-    if cfg.hi_freq > sr / 2:
-        raise DomainError(
-            f"hi_freq {cfg.hi_freq} Hz exceeds Nyquist for {sr} Hz audio"
-        )
-    if cfg.dft_size < cfg.window_samples(sr):
-        raise ValueError("dft_size must cover the analysis window")
-
     pspec = power_spectrum(frame_and_window(buffer, cfg), cfg.dft_size)
-    filterbanks = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, sr, *warps))
+    filterbanks = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
     dct = _dct_basis(cfg.num_filters, cfg.num_ceps) if cfg.feature_kind == MFCC else None
     out = []
     for weights in filterbanks:

@@ -42,12 +42,13 @@ class MatrixFormatError(ValueError):
 class ManifestEntry:
     id: str
     audio_path: str
-    transcript: Optional[str] = None
 
 
 def read_manifest(path) -> list:
-    """Parse a JSON-lines manifest: one object with `id`, `audio` and an
-    optional `text` key per line.  Blank lines are ignored."""
+    """Parse a JSON-lines manifest: one object with `id` and `audio` keys
+    per line (other keys, such as `text`, are ignored).  Blank lines are
+    ignored.  An id names its variants' files in the archive, so one that
+    holds a path separator or NUL is a ParseError."""
     entries = []
     seen = set()
     with open(path, "r", encoding="utf-8") as handle:
@@ -64,16 +65,14 @@ def read_manifest(path) -> list:
                     f"line {lineno}: expected an object with 'id' and 'audio' keys"
                 )
             entry_id = str(obj["id"])
+            if any(sep and sep in entry_id for sep in (os.sep, os.altsep, "\0")):
+                raise ParseError(
+                    f"line {lineno}: id {entry_id!r} holds a path separator or NUL"
+                )
             if entry_id in seen:
                 raise DuplicateId(f"line {lineno}: duplicate id {entry_id!r}")
             seen.add(entry_id)
-            entries.append(
-                ManifestEntry(
-                    id=entry_id,
-                    audio_path=str(obj["audio"]),
-                    transcript=obj.get("text"),
-                )
-            )
+            entries.append(ManifestEntry(id=entry_id, audio_path=str(obj["audio"])))
     return entries
 
 

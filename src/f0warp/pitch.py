@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .audio_io import AudioBuffer
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
 from .errors import DomainError, TooShort
 
 # Absolute depth a normalized-difference dip must reach for first-dip
@@ -55,6 +55,8 @@ BAND_ODD_PAD = 15
 
 @dataclass(frozen=True)
 class PitchConfig:
+    """Tracker settings, checked when built against the fixed 16 kHz rate."""
+
     f0_min: float = 50.0
     f0_max: float = 500.0
     voicing_threshold: float = 0.5
@@ -68,8 +70,20 @@ class PitchConfig:
             raise ValueError("need 0 < f0_min < f0_max")
         if not 0 <= self.voicing_threshold <= 1:
             raise ValueError("voicing_threshold must be in [0, 1]")
-        if self.window <= 0 or self.shift <= 0:
-            raise ValueError("window and shift must be positive")
+        self.in_samples()
+
+    def in_samples(self) -> tuple:
+        """(window, shift, shortest lag, longest lag) in samples; DomainError
+        for settings no 16 kHz audio can meet."""
+        if self.f0_max >= REQUIRED_SAMPLE_RATE / 2:
+            raise DomainError("f0_max must be below Nyquist")
+        win = int(round(self.window * REQUIRED_SAMPLE_RATE))
+        hop = whole_samples("pitch shift", self.shift)
+        tau_min = max(2, int(REQUIRED_SAMPLE_RATE // self.f0_max))
+        tau_max = int(math.ceil(REQUIRED_SAMPLE_RATE / self.f0_min))
+        if tau_max + 2 > win:
+            raise DomainError("pitch window too short for f0_min")
+        return win, hop, tau_min, tau_max
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,7 @@ class UtteranceF0:
     fallback_used: bool
 
 
-def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
+def _band_limit(x: np.ndarray, f0_max: float) -> np.ndarray:
     """Zero-phase low-pass keeping the fundamental and low harmonics.
 
     The response is that of a 4th-order bilinear Butterworth at ``cutoff``
@@ -131,11 +145,11 @@ def _band_limit(x: np.ndarray, sample_rate: int, f0_max: float) -> np.ndarray:
     n = x.shape[0]
     if n <= BAND_ODD_PAD:
         return x
-    cutoff = min(2.4 * f0_max, 0.45 * sample_rate)
+    cutoff = min(2.4 * f0_max, 0.45 * REQUIRED_SAMPLE_RATE)
     half, size = BAND_HALF_TAPS, BAND_FFT
     while True:
         omega = np.linspace(0.0, np.pi, size // 2 + 1)
-        ratio = np.tan(omega / 2) / np.tan(np.pi * cutoff / sample_rate)
+        ratio = np.tan(omega / 2) / np.tan(np.pi * cutoff / REQUIRED_SAMPLE_RATE)
         taps = np.fft.irfft(1.0 / (1.0 + ratio ** 8), size)
         dropped = taps[half + 1:size - half]
         if half >= n or np.abs(dropped).max() < BAND_TAIL * taps[0]:
@@ -205,25 +219,15 @@ def _pick_lags(dprime: np.ndarray, tau_min: int, tau_max: int):
 def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Track f0 over a buffer (see module docstring for the algorithm)."""
     cfg = cfg if cfg is not None else PitchConfig()
-    if cfg.f0_max >= buffer.sample_rate / 2:
-        raise DomainError("f0_max must be below Nyquist")
-    sr = buffer.sample_rate
-    win = int(round(cfg.window * sr))
-    hop = int(round(cfg.shift * sr))
-    if hop < 1:
-        raise DomainError(f"pitch shift of {cfg.shift:g} s is under one sample at {sr} Hz")
+    win, hop, tau_min, tau_max = cfg.in_samples()
     x = buffer.samples
     if x.shape[0] < win:
         raise TooShort(
             f"buffer has {x.shape[0]} samples, needs {win} for one pitch window"
         )
-    tau_min = max(2, int(sr // cfg.f0_max))
-    tau_max = int(math.ceil(sr / cfg.f0_min))
-    if tau_max + 2 > win:
-        raise DomainError("pitch window too short for f0_min")
     span = win - tau_max
 
-    banded = _band_limit(x, sr, cfg.f0_max)
+    banded = _band_limit(x, cfg.f0_max)
     windows = np.lib.stride_tricks.sliding_window_view(banded, win)[::hop]
     raw = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
     n_frames = windows.shape[0]
@@ -241,15 +245,15 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
         periodicity[block][held.max(axis=1) == held.min(axis=1)] = 0.0
 
     voiced = periodicity >= cfg.voicing_threshold
-    f0 = np.clip(sr / refined, cfg.f0_min, cfg.f0_max)
-    times = (np.arange(n_frames) * hop + win / 2) / sr
+    f0 = np.clip(REQUIRED_SAMPLE_RATE / refined, cfg.f0_min, cfg.f0_max)
+    times = (np.arange(n_frames) * hop + win / 2) / REQUIRED_SAMPLE_RATE
     out = tuple(
         PitchFrame(time=time, f0=f if v else None, periodicity=p)
         for time, f, v, p in zip(
             times.tolist(), f0.tolist(), voiced.tolist(), periodicity.tolist()
         )
     )
-    return PitchTrack(frames=out, frame_shift=hop / sr)
+    return PitchTrack(frames=out, frame_shift=hop / REQUIRED_SAMPLE_RATE)
 
 
 def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:

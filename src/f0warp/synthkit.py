@@ -34,6 +34,8 @@ class VowelSpec:
         f1, f2, f3 = self.formants
         if not 0 < self.f0 < f1 < f2 < f3:
             raise DomainError("need 0 < f0 < F1 < F2 < F3")
+        if f3 >= REQUIRED_SAMPLE_RATE / 2:
+            raise DomainError("highest formant must be below Nyquist")
         if any(b <= 0 for b in self.bandwidths):
             raise DomainError("bandwidths must be positive")
         if self.duration <= 0:
@@ -42,10 +44,10 @@ class VowelSpec:
             raise DomainError("amplitude must be in [0, 1]")
 
 
-def _harmonic_sum(f0: float, n_samples: int, sample_rate: int) -> np.ndarray:
+def _harmonic_sum(f0: float, n_samples: int) -> np.ndarray:
     # Equal-amplitude cosine harmonics below Nyquist, all at zero phase.
-    t = np.arange(n_samples) / sample_rate
-    n_harmonics = int(np.floor((sample_rate / 2 - 1e-9) / f0))
+    t = np.arange(n_samples) / REQUIRED_SAMPLE_RATE
+    n_harmonics = int(np.floor((REQUIRED_SAMPLE_RATE / 2 - 1e-9) / f0))
     x = np.zeros(n_samples)
     for k in range(1, n_harmonics + 1):
         x += np.cos(2.0 * np.pi * k * f0 * t)
@@ -59,34 +61,30 @@ def _peak_normalize(x: np.ndarray, amplitude: float) -> np.ndarray:
     return x
 
 
-def synth_harmonic(
-    f0: float,
-    duration: float,
-    amplitude: float = 0.9,
-    sample_rate: int = REQUIRED_SAMPLE_RATE,
-) -> AudioBuffer:
+def synth_harmonic(f0: float, duration: float, amplitude: float = 0.9) -> AudioBuffer:
     """Band-limited impulse train at f0, peak-scaled to ``amplitude``."""
-    if not 0 < f0 < sample_rate / 2:
+    if not 0 < f0 < REQUIRED_SAMPLE_RATE / 2:
         raise DomainError("f0 must be positive and below Nyquist")
     if duration <= 0:
         raise DomainError("duration must be positive")
     if not 0 <= amplitude <= 1:
         raise DomainError("amplitude must be in [0, 1]")
-    n = int(round(duration * sample_rate))
-    x = _peak_normalize(_harmonic_sum(f0, n, sample_rate), amplitude)
-    return AudioBuffer(x, sample_rate, source_id=f"harmonic-{f0:g}hz")
+    n = int(round(duration * REQUIRED_SAMPLE_RATE))
+    x = _peak_normalize(_harmonic_sum(f0, n), amplitude)
+    return AudioBuffer(x, source_id=f"harmonic-{f0:g}hz")
 
 
-def resonator_coefficients(formants, bandwidths, sample_rate: int):
+def resonator_coefficients(formants, bandwidths):
     """Two-pole section coefficients for each (formant, bandwidth) pair.
 
-    Poles sit at radius exp(-pi*B/sr) and angle 2*pi*F/sr; each section is
-    scaled for unity gain at DC.
+    Poles sit at radius exp(-pi*B/fs) and angle 2*pi*F/fs at the fixed
+    rate fs = REQUIRED_SAMPLE_RATE; each section is scaled for unity gain
+    at DC.
     """
     f = np.asarray(formants, dtype=np.float64)
     b = np.asarray(bandwidths, dtype=np.float64)
-    radius = np.exp(-np.pi * b / sample_rate)
-    theta = 2.0 * np.pi * f / sample_rate
+    radius = np.exp(-np.pi * b / REQUIRED_SAMPLE_RATE)
+    theta = 2.0 * np.pi * f / REQUIRED_SAMPLE_RATE
     a1 = -2.0 * radius * np.cos(theta)
     a2 = radius ** 2
     gain = 1.0 + a1 + a2
@@ -115,26 +113,22 @@ def resonator_cascade(source, a1, a2, gain):
     return y
 
 
-def synth_vowel(spec: VowelSpec, sample_rate: int = REQUIRED_SAMPLE_RATE) -> AudioBuffer:
+def synth_vowel(spec: VowelSpec) -> AudioBuffer:
     """Impulse train at ``spec.f0`` through the three formant resonators."""
-    if spec.formants[-1] >= sample_rate / 2:
-        raise DomainError("highest formant must be below Nyquist")
-    n = int(round(spec.duration * sample_rate))
-    source = _harmonic_sum(spec.f0, n, sample_rate)
-    a1, a2, gain = resonator_coefficients(spec.formants, spec.bandwidths, sample_rate)
+    n = int(round(spec.duration * REQUIRED_SAMPLE_RATE))
+    source = _harmonic_sum(spec.f0, n)
+    a1, a2, gain = resonator_coefficients(spec.formants, spec.bandwidths)
     y = resonator_cascade(source, a1, a2, gain)
     y = _peak_normalize(y, spec.amplitude)
-    return AudioBuffer(y, sample_rate, source_id=f"vowel-{spec.f0:g}hz")
+    return AudioBuffer(y, source_id=f"vowel-{spec.f0:g}hz")
 
 
-def shift_vowel_for_f0(
-    ref: VowelSpec, target_f0: float, sample_rate: int = REQUIRED_SAMPLE_RATE
-) -> VowelSpec:
+def shift_vowel_for_f0(ref: VowelSpec, target_f0: float) -> VowelSpec:
     """Re-place formants for a new pitch, preserving Mel distances to f0.
 
     Each formant moves by the same Mel offset as the pitch, so
     ``hz_to_mel(Fx) - hz_to_mel(f0)`` is unchanged; bandwidths scale with
-    each formant's own Hz ratio.
+    each formant's own Hz ratio.  The new spec is checked like any other.
     """
     if target_f0 <= 0:
         raise DomainError("target_f0 must be positive")
@@ -142,8 +136,6 @@ def shift_vowel_for_f0(
         return ref
     offset = hz_to_mel(target_f0) - hz_to_mel(ref.f0)
     shifted = tuple(mel_to_hz(hz_to_mel(fx) + offset) for fx in ref.formants)
-    if any(fx >= sample_rate / 2 for fx in shifted):
-        raise DomainError("shifted formant reaches Nyquist")
     bandwidths = tuple(
         bx * (new / old) for bx, new, old in zip(ref.bandwidths, shifted, ref.formants)
     )

@@ -6,8 +6,6 @@ import pytest
 
 from f0warp import AudioBuffer, synth_harmonic, write_wav
 
-SAMPLE_RATE = 16000
-
 
 @pytest.fixture
 def rng():
@@ -21,7 +19,7 @@ def noisy_harmonic(f0, duration=1.0, snr_db=20.0, seed=0):
     noise = gen.standard_normal(len(buf))
     signal_power = np.mean(buf.samples ** 2)
     noise *= np.sqrt(signal_power / np.mean(noise ** 2) / 10 ** (snr_db / 10))
-    return AudioBuffer(buf.samples + noise, SAMPLE_RATE, f"noisy-{f0:g}hz")
+    return AudioBuffer(buf.samples + noise, source_id=f"noisy-{f0:g}hz")
 
 
 def archive_contents(directory) -> list:

@@ -66,7 +66,7 @@ def test_c2_warp_identity_bit_exact():
     cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
     for i in range(50):
         n = int(rng.integers(4800, 9600))
-        buf = AudioBuffer(rng.standard_normal(n) * 0.3, SR, f"u{i}")
+        buf = AudioBuffer(rng.standard_normal(n) * 0.3, source_id=f"u{i}")
         pitch = float(rng.uniform(60.0, 300.0))
         zero, identity = compute_warp(pitch, pitch), identity_warp()
         (warped,) = extract_features(buf, cfg, zero)
@@ -82,7 +82,7 @@ def test_c3_shift_equivalence_and_composition():
     """Equal shifts give identical features; plan shifts compose additively."""
     rng = np.random.default_rng(7)
     cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
-    buf = AudioBuffer(rng.standard_normal(8000) * 0.3, SR, "u")
+    buf = AudioBuffer(rng.standard_normal(8000) * 0.3, source_id="u")
     for _ in range(10):
         u1 = float(rng.uniform(80.0, 320.0))
         d1 = float(rng.uniform(58.0, 144.0))
@@ -149,7 +149,7 @@ def test_c5_shift_sweep_keeps_filters_nonempty_below_nyquist():
     cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
     bad = []
     for delta in range(-250, 251):
-        coords = warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, float(delta)))
+        coords = warp_bin_mels(512, WarpSpec(100.0, 100.0, float(delta)))
         try:
             (weights,) = build_filterbank(cfg, coords)
         except Exception as exc:
@@ -176,7 +176,7 @@ def test_c6_pitch_oracle():
         assert not result.fallback_used
         assert abs(result.f0_utt - f0) <= 3.0, (f0, result.f0_utt)
         errors[f0] = abs(result.f0_utt - f0)
-    silent = median_f0(detect_pitch(AudioBuffer(np.zeros(SR), SR)), 100.0)
+    silent = median_f0(detect_pitch(AudioBuffer(np.zeros(SR))), 100.0)
     assert silent.fallback_used and silent.f0_utt == 100.0
     worst = max(errors.values())
     _report(6, f"max median error {worst:.3f} Hz; silence takes the fallback")
@@ -209,7 +209,7 @@ def test_c8_frame_count_and_format_round_trips(tmp_path, rng):
     """1 s -> 98x13; binary matrices round-trip exactly; text export
     round-trips within 1e-6 relative."""
     (values,) = extract_features(
-        AudioBuffer(rng.standard_normal(SR) * 0.3, SR, "u"), FeatureConfig()
+        AudioBuffer(rng.standard_normal(SR) * 0.3, source_id="u"), FeatureConfig()
     )
     assert values.shape == (98, 13)
 

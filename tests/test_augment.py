@@ -16,14 +16,12 @@ from f0warp import (
 )
 from f0warp.melwarp import MAX_ABS_SHIFT_MEL, WARPED_HI_FREQ
 
-SR = 16000
-
 PAPER_STYLE_SET = [58.52, 72.10, 85.93, 100.00, 114.32, 128.90, 143.74]
 
 
 def _buffer(seed=1, n=8000):
     return AudioBuffer(
-        np.random.default_rng(seed).standard_normal(n) * 0.3, SR, "utt"
+        np.random.default_rng(seed).standard_normal(n) * 0.3, source_id="utt"
     )
 
 
@@ -62,6 +60,14 @@ class TestMakePlan:
     def test_nonpositive_or_nonfinite_rejected(self, base, shifts):
         with pytest.raises(DomainError):
             make_plan(base, shifts)
+
+    def test_shift_past_the_base_rejected(self):
+        # The shift must stay below hz_to_mel(100) = 150.5 Mel, or the
+        # target pitch would be 0 Hz or below.
+        make_plan(100.0, (0.0, 150.0))
+        for shift in (150.5, 200.0):
+            with pytest.raises(DomainError, match=f"shift {shift:g} Mel must be below 150.5 Mel"):
+                make_plan(100.0, (0.0, shift))
 
     def test_missing_zero_rejected(self):
         with pytest.raises(MissingZeroShift):

@@ -195,9 +195,9 @@ def test_setting_under_one_sample_is_a_clean_error(tmp_path, wav, capsys, flag, 
     out = tmp_path / "x.mwf"
     code = main(["extract", "--in", str(wav), "--out", str(out), "--normalize",
                  flag, "0.00001"])
-    assert code == EXIT_FATAL
+    assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"f0warp: DomainError: {setting} of 1e-05 s is under one sample at 16000 Hz\n"
+        f"f0warp: error: {setting} of 1e-05 s is under one sample at 16000 Hz\n"
     )
     assert not out.exists()
 
@@ -208,9 +208,54 @@ def test_process_reports_hop_under_one_sample(tmp_path, capsys):
     out_dir = tmp_path / "arch"
     code = main(["process", "--manifest", str(manifest), "--out", str(out_dir),
                  "--hop", "0.00001"])
-    assert code == EXIT_PARTIAL
-    report = [json.loads(line) for line in (out_dir / "report.jsonl").read_text().splitlines()]
-    assert [r["error"] for r in report] == ["DomainError"]
+    assert code == EXIT_USAGE
+    assert "hop of 1e-05 s is under one sample" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# Settings that no 16 kHz audio can meet, the start of the error naming
+# each, and the commands that take the flag.
+UNUSABLE_SETTINGS = [
+    ("--hi-freq", "9000", "hi_freq 9000.0 Hz exceeds Nyquist", ("process", "extract")),
+    ("--window", "0.05", "dft_size must cover the analysis window", ("process", "extract")),
+    ("--hop", "0.00001", "hop of 1e-05 s is under one sample", ("process", "extract")),
+    ("--f0-max", "8000", "f0_max must be below Nyquist", ("process", "extract", "pitch")),
+    ("--pitch-window", "0.01", "pitch window too short for f0_min",
+     ("process", "extract", "pitch")),
+]
+
+
+@pytest.mark.parametrize("flag, value, message, commands", UNUSABLE_SETTINGS)
+def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, message,
+                                                 commands):
+    # The input WAV does not exist: only a check made before any audio is
+    # opened gives a usage error rather than a failed read.
+    missing = str(tmp_path / "missing.wav")
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [{"id": "a", "audio": missing}])
+    out = tmp_path / "out"
+    inputs = {
+        "process": ["--manifest", str(manifest), "--out", str(out)],
+        "extract": ["--in", missing, "--out", str(out)],
+        "pitch": ["--in", missing, "--csv", str(out)],
+    }
+    for command in commands:
+        assert main([command, *inputs[command], flag, value]) == EXIT_USAGE, command
+        assert capsys.readouterr().err.startswith(f"f0warp: error: {message}"), command
+        assert not out.exists(), command
+
+
+def test_plan_shift_past_the_base_names_its_bound(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [{"id": "a", "audio": str(tmp_path / "missing.wav")}])
+    code = main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
+                 "--augment-shifts", "0,200", "--f0-def", "100"])
+    assert code == EXIT_FATAL
+    assert capsys.readouterr().err == (
+        "f0warp: DomainError: shift 200 Mel must be below 150.5 Mel, the Mel value"
+        " of the 100 Hz base, for a positive target f0\n"
+    )
+    assert not (tmp_path / "arch").exists()
 
 
 def test_synth_harmonic_writes_wav(tmp_path, capsys):
@@ -281,7 +326,7 @@ def test_pitch_csv_and_summary_are_golden(tmp_path, capsys):
                      bandwidths=(60.0, 90.0, 150.0), duration=0.2)
     wav_path = tmp_path / "vowel.wav"
     samples = np.concatenate([synth_vowel(spec).samples, np.zeros(800)])
-    write_wav(wav_path, AudioBuffer(samples, 16000))
+    write_wav(wav_path, AudioBuffer(samples))
     csv_path, summary_path = tmp_path / "f.csv", tmp_path / "s.json"
     assert main(["pitch", "--in", str(wav_path), "--csv", str(csv_path),
                  "--summary", str(summary_path)]) == EXIT_OK
@@ -295,7 +340,7 @@ def test_pitch_csv_and_summary_are_golden(tmp_path, capsys):
 
 def test_pitch_on_silence_reports_fallback(tmp_path, capsys):
     wav_path = tmp_path / "sil.wav"
-    write_wav(wav_path, AudioBuffer(np.zeros(16000), 16000))
+    write_wav(wav_path, AudioBuffer(np.zeros(16000)))
     code = main(["pitch", "--in", str(wav_path), "--csv", str(tmp_path / "c.csv")])
     assert code == EXIT_OK
     summary = _last_json(capsys)

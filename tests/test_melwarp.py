@@ -99,7 +99,7 @@ class TestComputeWarp:
 
 class TestWarpBinMels:
     def test_zero_shift_is_plain_mel(self):
-        (coords,) = warp_bin_mels(512, SR, identity_warp())
+        (coords,) = warp_bin_mels(512, identity_warp())
         freqs = np.arange(257) * (SR / 512)
         assert np.array_equal(coords, hz_to_mel(freqs))
 
@@ -109,21 +109,21 @@ class TestWarpBinMels:
 
     @pytest.mark.parametrize("delta", [-250.0, -17.5, 0.0, 88.0, 250.0])
     def test_strictly_increasing(self, delta):
-        (coords,) = warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, delta))
+        (coords,) = warp_bin_mels(512, WarpSpec(100.0, 100.0, delta))
         assert np.all(np.diff(coords) > 0)
 
     def test_stack_rows_equal_single_warps(self):
         warps = [WarpSpec(100.0, 100.0, d) for d in (-250.0, 0.0, 17.5, 250.0)]
-        stack = warp_bin_mels(512, SR, *warps)
+        stack = warp_bin_mels(512, *warps)
         assert stack.shape == (4, 257)
         for row, warp in zip(stack, warps):
-            assert np.array_equal(row[None], warp_bin_mels(512, SR, warp))
+            assert np.array_equal(row[None], warp_bin_mels(512, warp))
 
 
 class TestFilterbank:
     def test_default_config_all_rows_nonempty(self):
         cfg = FeatureConfig()
-        (weights,) = build_filterbank(cfg, warp_bin_mels(512, SR, identity_warp()))
+        (weights,) = build_filterbank(cfg, warp_bin_mels(512, identity_warp()))
         assert weights.shape == (23, 257)
         assert np.all((weights >= 0) & (weights <= 1))
         assert np.all((weights > 0).any(axis=1))
@@ -133,7 +133,7 @@ class TestFilterbank:
         # center, so the peaks are span / (num_filters + 1) Mels apart to
         # within the grid's step in Mels.
         cfg = FeatureConfig(dft_size=2**16)
-        stack = warp_bin_mels(cfg.dft_size, SR, identity_warp())
+        stack = warp_bin_mels(cfg.dft_size, identity_warp())
         (coords,) = stack
         (weights,) = build_filterbank(cfg, stack)
         peaks = coords[np.argmax(weights, axis=1)]
@@ -145,14 +145,14 @@ class TestFilterbank:
     def test_fig1_style_config_builds(self, delta):
         cfg = FeatureConfig(num_filters=15, lo_freq=20.0, hi_freq=6000.0)
         (weights,) = build_filterbank(
-            cfg, warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, delta))
+            cfg, warp_bin_mels(512, WarpSpec(100.0, 100.0, delta))
         )
         assert weights.shape[0] == 15
 
     def test_max_positive_shift_stays_below_nyquist(self):
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
         (weights,) = build_filterbank(
-            cfg, warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, 250.0))
+            cfg, warp_bin_mels(512, WarpSpec(100.0, 100.0, 250.0))
         )
         top_bin = np.flatnonzero((weights > 0).any(axis=0)).max()
         assert top_bin * SR / 512 <= 8000.0
@@ -164,14 +164,14 @@ class TestFilterbank:
         # cannot fill them.
         cfg = FeatureConfig(lo_freq=20.0, hi_freq=200.0)
         with pytest.raises(EmptyFilter):
-            build_filterbank(cfg, warp_bin_mels(512, SR, identity_warp()))
+            build_filterbank(cfg, warp_bin_mels(512, identity_warp()))
 
     def test_mirrored_bins_fill_lowest_filter_at_max_negative_shift(self):
         # At -250 Mels even bin 0 sits above the lowest filter (31.75 to
         # 244 Mels); its energy comes from the negative-frequency twins of
         # bins 1.., folded onto those bins.
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
-        stack = warp_bin_mels(512, SR, WarpSpec(100.0, 100.0, -250.0))
+        stack = warp_bin_mels(512, WarpSpec(100.0, 100.0, -250.0))
         (coords,) = stack
         assert coords[0] > 244.0
         (weights,) = build_filterbank(cfg, stack)
@@ -187,7 +187,7 @@ class TestFilterbank:
         # every row: only warps 1 and 3 of the stack are named.
         cfg = FeatureConfig(lo_freq=20.0, hi_freq=400.0)
         stack = warp_bin_mels(
-            512, SR, *(WarpSpec(100.0, 100.0, d) for d in (100.0, 0.0, 250.0, -100.0))
+            512, *(WarpSpec(100.0, 100.0, d) for d in (100.0, 0.0, 250.0, -100.0))
         )
         with pytest.raises(EmptyFilter) as info:
             build_filterbank(cfg, stack)
@@ -196,18 +196,18 @@ class TestFilterbank:
         )
 
     def test_three_dimensional_bins_rejected(self):
-        stack = warp_bin_mels(512, SR, identity_warp())
+        stack = warp_bin_mels(512, identity_warp())
         with pytest.raises(ValueError):
             build_filterbank(FeatureConfig(), stack[None])
 
     def test_one_dimensional_bins_rejected(self):
-        (coords,) = warp_bin_mels(512, SR, identity_warp())
+        (coords,) = warp_bin_mels(512, identity_warp())
         with pytest.raises(ValueError):
             build_filterbank(FeatureConfig(), coords)
 
     def test_wrong_bin_count_rejected(self):
         with pytest.raises(ValueError):
-            build_filterbank(FeatureConfig(), warp_bin_mels(256, SR, identity_warp()))
+            build_filterbank(FeatureConfig(), warp_bin_mels(256, identity_warp()))
 
     def test_unsorted_bins_rejected(self):
         cfg = FeatureConfig()
@@ -217,20 +217,20 @@ class TestFilterbank:
 
 class TestFraming:
     def test_one_second_yields_98_frames(self):
-        buf = AudioBuffer(np.random.default_rng(0).standard_normal(16000), SR)
+        buf = AudioBuffer(np.random.default_rng(0).standard_normal(16000))
         frames = frame_and_window(buf, FeatureConfig())
         assert frames.shape == (98, 400)
 
     def test_exact_window_yields_one_frame(self):
-        frames = frame_and_window(AudioBuffer(np.ones(400), SR), FeatureConfig())
+        frames = frame_and_window(AudioBuffer(np.ones(400)), FeatureConfig())
         assert frames.shape == (1, 400)
 
     def test_too_short_raises(self):
         with pytest.raises(TooShort):
-            frame_and_window(AudioBuffer(np.zeros(399), SR), FeatureConfig())
+            frame_and_window(AudioBuffer(np.zeros(399)), FeatureConfig())
 
     def test_zero_input_gives_zero_frames(self):
-        frames = frame_and_window(AudioBuffer(np.zeros(1000), SR), FeatureConfig())
+        frames = frame_and_window(AudioBuffer(np.zeros(1000)), FeatureConfig())
         assert np.all(frames == 0)
 
     def test_preemphasis_uses_previous_buffer_sample(self):
@@ -238,7 +238,7 @@ class TestFraming:
         # before the frame, not treated as a fresh start.
         x = np.arange(1000, dtype=float) / 1000.0
         cfg = FeatureConfig()
-        frames = frame_and_window(AudioBuffer(x, SR), cfg)
+        frames = frame_and_window(AudioBuffer(x), cfg)
         window = np.hamming(400)
         assert frames[0, 0] == pytest.approx(x[0] * window[0])
         expected = (x[160] - cfg.preemphasis * x[159]) * window[0]
@@ -246,7 +246,7 @@ class TestFraming:
 
     def test_hamming_window_applied(self):
         cfg = FeatureConfig(preemphasis=0.0)
-        frames = frame_and_window(AudioBuffer(np.ones(400), SR), cfg)
+        frames = frame_and_window(AudioBuffer(np.ones(400)), cfg)
         assert np.allclose(frames[0], np.hamming(400))
 
 
@@ -320,9 +320,7 @@ class TestDct:
     def test_mfcc_is_orthonormal_dct_of_log_mel(self, num_filters, num_ceps):
         # The MFCC path's DCT against scipy's, on the log-Mel matrix the
         # same config gives.
-        buf = AudioBuffer(
-            np.random.default_rng(num_filters).standard_normal(8000) * 0.3, SR
-        )
+        buf = AudioBuffer(np.random.default_rng(num_filters).standard_normal(8000) * 0.3)
         cfg = FeatureConfig(num_filters=num_filters, num_ceps=num_ceps)
         (mfcc,) = extract_features(buf, cfg)
         (log_mel,) = extract_features(buf, replace(cfg, feature_kind=LOG_MEL))
@@ -334,7 +332,7 @@ class TestDct:
 class TestExtractFeatures:
     def _noise(self, n=8000, seed=3):
         return AudioBuffer(
-            np.random.default_rng(seed).standard_normal(n) * 0.3, SR, "noise"
+            np.random.default_rng(seed).standard_normal(n) * 0.3, source_id="noise"
         )
 
     def test_zero_warp_equals_unwarped_bitwise(self):
@@ -379,7 +377,7 @@ class TestExtractFeatures:
             assert np.array_equal(values, alone)
 
     def test_mfcc_shape_and_finite(self):
-        (values,) = extract_features(AudioBuffer(np.zeros(16000), SR), FeatureConfig())
+        (values,) = extract_features(AudioBuffer(np.zeros(16000)), FeatureConfig())
         assert values.shape == (98, 13)
         assert np.isfinite(values).all()
 
@@ -396,13 +394,14 @@ class TestExtractFeatures:
         (b,) = extract_features(buf, cfg, warp)
         assert np.array_equal(a, b)
 
+    # Both are rejected when the config is built, before any extraction.
     def test_hi_freq_above_nyquist_rejected(self):
-        with pytest.raises(DomainError):
-            extract_features(self._noise(), FeatureConfig(hi_freq=9000.0))
+        with pytest.raises(DomainError, match="exceeds Nyquist for 16000 Hz audio"):
+            FeatureConfig(hi_freq=9000.0)
 
     def test_dft_smaller_than_window_rejected(self):
-        with pytest.raises(ValueError):
-            extract_features(self._noise(), FeatureConfig(dft_size=256))
+        with pytest.raises(ValueError, match="dft_size must cover the analysis window"):
+            FeatureConfig(dft_size=256)
 
 
 class TestFeatureConfigValidation:
@@ -421,6 +420,10 @@ class TestFeatureConfigValidation:
             {"hi_freq": math.inf},
             {"log_floor": math.nan},
             {"log_floor": math.inf},
+            {"hi_freq": 8000.5},
+            {"window": 0.05},
+            {"window": 0.00001},
+            {"hop": 0.00001},
         ],
     )
     def test_invalid_rejected(self, kwargs):

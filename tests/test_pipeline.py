@@ -30,8 +30,7 @@ class TestManifest:
         write_manifest(path, [{"id": "a", "audio": "a.wav"},
                               {"id": "b", "audio": "b.wav", "text": "hi"}])
         entries = read_manifest(path)
-        assert [e.id for e in entries] == ["a", "b"]
-        assert entries[1].transcript == "hi"
+        assert entries == [ManifestEntry("a", "a.wav"), ManifestEntry("b", "b.wav")]
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -55,6 +54,14 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ParseError, match="line 1"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("entry_id", ["../escaped", "sub/dir", "nul\0byte"])
+    def test_id_that_is_not_a_file_name_rejected(self, tmp_path, entry_id):
+        path = tmp_path / "m.jsonl"
+        write_manifest(path, [{"id": "a", "audio": "a.wav"},
+                              {"id": entry_id, "audio": "b.wav"}])
+        with pytest.raises(ParseError, match="line 2: id .* path separator or NUL"):
             read_manifest(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -125,7 +132,7 @@ class TestProcessDataset:
         from f0warp import AudioBuffer, write_wav
 
         wav = tmp_path / "silence.wav"
-        write_wav(wav, AudioBuffer(np.zeros(16000), 16000))
+        write_wav(wav, AudioBuffer(np.zeros(16000)))
         manifest = tmp_path / "m.jsonl"
         write_manifest(manifest, [{"id": "sil", "audio": str(wav)}])
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)

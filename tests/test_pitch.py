@@ -43,7 +43,7 @@ class TestDetector:
         assert abs(uf.f0_utt - 270.0) <= 3.0
 
     def test_silence_is_unvoiced(self):
-        track = detect_pitch(AudioBuffer(np.zeros(SR), SR))
+        track = detect_pitch(AudioBuffer(np.zeros(SR)))
         assert all(not frame.voiced for frame in track.frames)
         assert all(frame.periodicity == 0.0 for frame in track.frames)
 
@@ -51,14 +51,14 @@ class TestDetector:
         # A constant stretch has no period: every d' lag is neutral, as over
         # silence.  The FFT form of the kernel must not turn its rounding
         # residue into dips.
-        track = detect_pitch(AudioBuffer(np.full(SR, 0.1), SR))
+        track = detect_pitch(AudioBuffer(np.full(SR, 0.1)))
         assert not any(frame.voiced for frame in track.frames)
         assert median_f0(track, 100.0).fallback_used
 
     def test_dc_offset_then_tone_voices_only_the_tone(self):
         tone = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(SR // 2) / SR)
         x = np.concatenate([np.full(SR // 2, 0.1), tone])
-        track = detect_pitch(AudioBuffer(x, SR))
+        track = detect_pitch(AudioBuffer(x))
         win = round(PitchConfig().window * SR)
         for t, frame in enumerate(track.frames):
             start = round(t * track.frame_shift * SR)
@@ -68,7 +68,7 @@ class TestDetector:
                 assert frame.voiced and abs(frame.f0 - 200.0) <= 2.0, (t, frame)
 
     def test_white_noise_mostly_unvoiced(self, rng):
-        buf = AudioBuffer(rng.standard_normal(SR) * 0.2, SR)
+        buf = AudioBuffer(rng.standard_normal(SR) * 0.2)
         track = detect_pitch(buf)
         voiced = sum(frame.voiced for frame in track.frames)
         assert voiced < 0.2 * len(track.frames)
@@ -81,7 +81,7 @@ class TestDetector:
 
     def test_amplitude_invariance(self):
         base = synth_harmonic(150.0, 0.5, amplitude=0.4)
-        double = AudioBuffer(base.samples * 2.0, SR)
+        double = AudioBuffer(base.samples * 2.0)
         track_a = detect_pitch(base)
         track_b = detect_pitch(double)
         # scaling by a power of two is exact, so tracks must match bitwise
@@ -104,13 +104,11 @@ class TestDetector:
 
     def test_too_short_raises(self):
         with pytest.raises(TooShort):
-            detect_pitch(AudioBuffer(np.zeros(500), SR))
+            detect_pitch(AudioBuffer(np.zeros(500)))
 
     def test_f0_max_above_nyquist_rejected(self):
-        with pytest.raises(DomainError):
-            detect_pitch(
-                AudioBuffer(np.zeros(SR), SR), PitchConfig(f0_max=9000.0)
-            )
+        with pytest.raises(DomainError, match="f0_max must be below Nyquist"):
+            PitchConfig(f0_max=9000.0)
 
     def test_vowel_a_at_234hz_does_not_lock_on_half_period(self):
         # Moved to 233.9 Hz, vowel a has F1 (969 Hz) near harmonic 4, so d'
@@ -132,7 +130,7 @@ class TestDetector:
         n = vowel.samples.shape[0]
         x = np.concatenate([np.full(SR // 2, before), vowel.samples,
                             np.full(SR // 2, after)])
-        track = detect_pitch(AudioBuffer(x, SR))
+        track = detect_pitch(AudioBuffer(x))
         win = round(PitchConfig().window * SR)
         flat = 0
         for t, frame in enumerate(track.frames):
@@ -155,7 +153,7 @@ class TestDetector:
             vowel.samples, np.zeros(SR // 4), np.full(SR // 4, -0.2),
             0.1 * rng.standard_normal(int(0.7 * SR)),
         ])
-        buf = AudioBuffer(x, SR)
+        buf = AudioBuffer(x)
         monkeypatch.setattr(pitch, "KERNEL_BLOCK", 10**6)
         whole = detect_pitch(buf)
         monkeypatch.setattr(pitch, "KERNEL_BLOCK", block)
@@ -193,7 +191,7 @@ class TestBandLimit:
     )
     def test_matches_sosfiltfilt(self, n):
         x = np.random.default_rng(n).standard_normal(n)
-        got = pitch._band_limit(x, SR, 500.0)
+        got = pitch._band_limit(x, 500.0)
         assert got.shape == x.shape
         err = np.abs(got - _sosfiltfilt(x)) / np.abs(x).max()
         # Away from the ends, equal to rounding; at the ends sosfiltfilt's
@@ -208,7 +206,7 @@ class TestBandLimit:
         n = 40_000
         x = np.random.default_rng(7).standard_normal(n)
         want = _sosfiltfilt(x, f0_max)
-        err = np.abs(pitch._band_limit(x, SR, f0_max) - want) / np.abs(want).max()
+        err = np.abs(pitch._band_limit(x, f0_max) - want) / np.abs(want).max()
         assert err[4000:n - 4000].max() <= 1e-12
 
     def test_taps_stop_growing_at_the_signal_length(self):
@@ -217,7 +215,7 @@ class TestBandLimit:
         x = np.random.default_rng(2).standard_normal(2000)
         tracemalloc.start()
         try:
-            out = pitch._band_limit(x, SR, 0.5)
+            out = pitch._band_limit(x, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,12 +226,12 @@ class TestBandLimit:
         rng = np.random.default_rng(1)
         for n in range(1, pitch.BAND_ODD_PAD + 1):
             x = rng.standard_normal(n)
-            assert np.array_equal(pitch._band_limit(x, SR, 500.0), x)
+            assert np.array_equal(pitch._band_limit(x, 500.0), x)
 
     def test_constant_stays_constant(self):
         for n in (16, BAND_STEP, 10_000):
             for level in (0.1, -3.0, 1e-6):
-                out = pitch._band_limit(np.full(n, level), SR, 500.0)
+                out = pitch._band_limit(np.full(n, level), 500.0)
                 assert np.max(np.abs(out / level - 1.0)) <= 1e-15, (n, level)
 
 
@@ -290,6 +288,10 @@ class TestPitchConfig:
             {"f0_max": np.inf},
             {"window": np.inf},
             {"shift": np.nan},
+            {"f0_max": 8000.0},
+            {"shift": 0.00001},
+            {"window": 0.01},
+            {"f0_min": 60.0, "window": 0.0167},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -65,7 +65,7 @@ seeds = st.integers(0, 2**32 - 1)
 def buffers(draw):
     n = draw(st.integers(800, 6400))
     rng = np.random.default_rng(draw(seeds))
-    return AudioBuffer(rng.standard_normal(n) * 0.3, SR, "u")
+    return AudioBuffer(rng.standard_normal(n) * 0.3, source_id="u")
 
 
 configs = st.builds(
@@ -166,7 +166,7 @@ def test_every_filter_nonempty_below_nyquist(cfg, delta):
     every filter row nonempty and the topmost contributing bin at or below
     8000 Hz."""
     (weights,) = build_filterbank(
-        cfg, warp_bin_mels(cfg.dft_size, SR, WarpSpec(100.0, 100.0, delta))
+        cfg, warp_bin_mels(cfg.dft_size, WarpSpec(100.0, 100.0, delta))
     )
     assert weights.shape == (cfg.num_filters, cfg.dft_size // 2 + 1)
     assert np.all((weights > 0).any(axis=1))
@@ -189,10 +189,10 @@ def test_stacked_filterbank_rows_equal_single_builds(cfg, deltas):
     """A stack of bin coordinates builds, in one call, each warp's
     filterbank exactly as a one-row stack of that warp does."""
     warps = [WarpSpec(100.0, 100.0, d) for d in deltas]
-    stacked = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, SR, *warps))
+    stacked = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
     assert stacked.shape == (len(deltas), cfg.num_filters, cfg.dft_size // 2 + 1)
     for weights, warp in zip(stacked, warps):
-        alone = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, SR, warp))
+        alone = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, warp))
         assert np.array_equal(weights[None], alone)
 
 
@@ -210,7 +210,7 @@ def test_archive_bytes_independent_of_worker_count(voiced, silent_s, silent_at):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         audio = [synth_harmonic(f0, duration) for f0, duration in voiced]
-        audio.insert(silent_at, AudioBuffer(np.zeros(int(silent_s * SR)), SR))
+        audio.insert(silent_at, AudioBuffer(np.zeros(int(silent_s * SR))))
         entries = []
         for i, buffer in enumerate(audio):
             path = tmp / f"u{i}.wav"
@@ -324,7 +324,7 @@ def resonator_sections(draw):
     if draw(st.booleans()):
         formants = [draw(st.floats(50.0, 7900.0)) for _ in range(count)]
         bandwidths = [draw(st.floats(10.0, 1000.0)) for _ in range(count)]
-        return resonator_coefficients(formants, bandwidths, SR)
+        return resonator_coefficients(formants, bandwidths)
     a2 = [draw(st.floats(-0.999, 0.999)) for _ in range(count)]
     a1 = [draw(st.floats(-0.999, 0.999)) * (1.0 + c2) for c2 in a2]
     gain = [draw(st.floats(-4.0, 4.0)) for _ in range(count)]
