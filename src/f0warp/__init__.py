@@ -52,7 +52,6 @@ from .melwarp import (
     warp_bin_mels,
 )
 from .pipeline import (
-    ArchiveRecord,
     BatchResult,
     DuplicateId,
     ManifestEntry,
@@ -63,7 +62,6 @@ from .pipeline import (
     read_archive_index,
     read_manifest,
     read_matrix,
-    read_text_archive,
     write_matrix,
 )
 from .pitch import (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from .pipeline import (
     read_manifest,
     read_matrix,
     utterance_variants,
+    variant_facts,
     write_matrix,
 )
 from .pitch import PitchConfig, detect_pitch, median_f0
@@ -103,22 +105,29 @@ def _add_f0_def(parser, helptext: str):
 
 
 def _config(cls, flags, args, **fields):
-    """``cls`` built from the parsed values of ``flags`` plus ``fields``."""
+    """``cls`` built from the parsed values of ``flags``, then ``fields``."""
     values = {field: getattr(args, flag[2:].replace("-", "_"))
               for flag, field, _ in flags}
     try:
-        return cls(**values, **fields)
+        return cls(**{**values, **fields})
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _naming_flags(exc, flags) from None
+
+
+def _naming_flags(exc: ValueError, flags) -> UsageError:
+    """``exc`` as a usage error: the library's message names config fields,
+    and each field of ``flags`` is renamed to the flag that sets it."""
+    flag_of = {field: flag for flag, field, _ in flags}
+    return UsageError(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc)))
 
 
 def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
+    flags = FEATURE_FLAGS + (("--hi-freq", "hi_freq", None),)
     try:
         hi = filterbank_ceiling(args.hi_freq, warped)
     except CeilingTooHigh as exc:
-        # The library's message names the config field; name the flag.
-        raise UsageError(str(exc).replace("hi_freq", "--hi-freq")) from None
-    return _config(FeatureConfig, FEATURE_FLAGS, args, hi_freq=hi, feature_kind=kind)
+        raise _naming_flags(exc, flags) from None
+    return _config(FeatureConfig, flags, args, hi_freq=hi, feature_kind=kind)
 
 
 def _emit(obj) -> None:
@@ -167,20 +176,8 @@ def _extract_like(args, kind: str) -> int:
     buffer = read_wav(args.infile)
     (matrix,) = utterance_variants(buffer, cfg, plan, args.normalize, pitch_cfg)
     write_matrix(args.out, matrix.values)
-    _emit(
-        {
-            "out": str(args.out),
-            "frames": matrix.num_frames,
-            "dims": matrix.dims,
-            "feature_kind": kind,
-            "hi_freq": cfg.hi_freq,
-            "f0_utt": matrix.warp.f0_utt,
-            "f0_def": matrix.warp.f0_def,
-            "delta_mel": matrix.warp.delta_mel,
-            "clamped": matrix.warp.clamped,
-            "fallback_used": matrix.fallback_used,
-        }
-    )
+    _emit({"out": str(args.out), "feature_kind": kind, "hi_freq": cfg.hi_freq,
+           **variant_facts(matrix)})
     return EXIT_OK
 
 

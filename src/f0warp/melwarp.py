@@ -132,9 +132,9 @@ class FeatureConfig:
     feature_kind: str = MFCC
 
     def __post_init__(self):
-        floats = [v for v in vars(self).values() if isinstance(v, float)]
-        if not all(map(math.isfinite, floats)):
-            raise ValueError("feature settings must be finite")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if not 0 <= self.lo_freq < self.hi_freq:
             raise ValueError("need 0 <= lo_freq < hi_freq")
         if self.num_filters < 1:
@@ -154,8 +154,12 @@ class FeatureConfig:
                 f"hi_freq {self.hi_freq} Hz exceeds Nyquist for"
                 f" {REQUIRED_SAMPLE_RATE} Hz audio"
             )
-        if self.dft_size < self.in_samples()[0]:
-            raise ValueError("dft_size must cover the analysis window")
+        window = self.in_samples()[0]
+        if self.dft_size < window:
+            raise ValueError(
+                f"dft_size {self.dft_size} is shorter than window {self.window:g} s"
+                f" ({window} samples)"
+            )
 
     def in_samples(self) -> tuple:
         """(window, hop) in samples; DomainError for either under one."""
@@ -176,13 +180,12 @@ def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
     """
     if hi_freq is None:
         return WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
-    nyquist_mel = hz_to_mel(REQUIRED_SAMPLE_RATE / 2)
-    if warped and hz_to_mel(hi_freq) + MAX_ABS_SHIFT_MEL > nyquist_mel:
-        limit = int(mel_to_hz(nyquist_mel - MAX_ABS_SHIFT_MEL))
+    limit = mel_to_hz(hz_to_mel(REQUIRED_SAMPLE_RATE / 2) - MAX_ABS_SHIFT_MEL)
+    if warped and hi_freq > limit:
         raise CeilingTooHigh(
             f"hi_freq {hi_freq:g} conflicts with warped extraction: a shift of"
             f" {MAX_ABS_SHIFT_MEL:g} Mels would push the top filter past Nyquist,"
-            f" so warped ceilings must be at or below {limit} Hz (leave hi_freq"
+            f" so warped ceilings must be at or below {int(limit)} Hz (leave hi_freq"
             f" unset for {WARPED_HI_FREQ:g} Hz)"
         )
     return hi_freq

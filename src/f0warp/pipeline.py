@@ -1,7 +1,7 @@
 """Batch processing: manifests in, feature archives with metadata out.
 
 An archive directory holds one small binary matrix file per (utterance,
-shift) variant, an ``index.jsonl`` of archive records sorted by
+shift) variant, an ``index.jsonl`` of one record per variant sorted by
 (id, shift) and a ``report.jsonl`` of per-utterance failures.  Output
 bytes are independent of worker count and processing order.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav
 from .augment import AugmentationPlan, augment_utterance, make_plan
-from .melwarp import FeatureConfig, filterbank_ceiling
+from .melwarp import FeatureConfig, FeatureMatrix, filterbank_ceiling
 from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
 
 MATRIX_MAGIC = b"MWF1"
@@ -104,21 +105,19 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(data[12:], dtype="<f4").reshape(rows, cols)
 
 
-@dataclass(frozen=True)
-class ArchiveRecord:
-    id: str
-    shift_mel: float
-    f0_utt: float
-    f0_def: float
-    delta_mel: float
-    clamped: bool
-    fallback_used: bool
-    frames: int
-    dims: int
-    path: str
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self))
+def variant_facts(matrix: FeatureMatrix) -> dict:
+    """The facts ``index.jsonl`` records of one variant, in its key order:
+    the warp's f0s, shift and clamp, the unvoiced fallback and the shape."""
+    warp = matrix.warp
+    return {
+        "f0_utt": warp.f0_utt,
+        "f0_def": warp.f0_def,
+        "delta_mel": warp.delta_mel,
+        "clamped": warp.clamped,
+        "fallback_used": matrix.fallback_used,
+        "frames": matrix.num_frames,
+        "dims": matrix.dims,
+    }
 
 
 def utterance_variants(
@@ -140,6 +139,10 @@ def utterance_variants(
 
 @dataclass
 class BatchResult:
+    """``records`` are the index lines: the objects of ``index.jsonl``, in
+    its order, so ``records == read_archive_index(out_dir)``.
+    ``failures`` are the lines of ``report.jsonl``."""
+
     records: list
     failures: list
     out_dir: Path
@@ -162,11 +165,14 @@ def process_dataset(
     """Extract every (utterance, plan entry) variant into an archive dir.
 
     Each worker owns one utterance end to end: read, pitch (when
-    normalizing), warp, extract, write matrix files.  The index is
-    assembled afterwards from a deterministic sort, so reruns produce
-    byte-identical archives for any worker count.  Failures abort the
-    batch in strict mode; otherwise they land in ``report.jsonl`` and
-    processing continues.
+    normalizing), warp, extract, write matrix files.  ``entries`` is read
+    as the batch goes, with at most two utterances per worker in flight,
+    and results are collected in manifest order.  The index is assembled
+    afterwards from a deterministic sort, so reruns produce byte-identical
+    archives for any worker count; its lines, ``{"id", "shift_mel",
+    **variant_facts(matrix), "path"}``, are the result's ``records``.
+    Failures abort the batch in strict mode; otherwise they land in
+    ``report.jsonl`` and processing continues.
 
     Without ``cfg`` the filterbank ceiling follows :func:`filterbank_ceiling`
     for this run (warped when normalizing or when any plan shift is
@@ -187,29 +193,26 @@ def process_dataset(
         for matrix in utterance_variants(buffer, cfg, plan, normalize, pitch_cfg):
             rel_path = variant_key(entry.id, matrix.shift_mel) + ".mwf"
             write_matrix(out / rel_path, matrix.values)
-            records.append(
-                ArchiveRecord(
-                    id=entry.id,
-                    shift_mel=matrix.shift_mel,
-                    f0_utt=matrix.warp.f0_utt,
-                    f0_def=matrix.warp.f0_def,
-                    delta_mel=matrix.warp.delta_mel,
-                    clamped=matrix.warp.clamped,
-                    fallback_used=matrix.fallback_used,
-                    frames=matrix.num_frames,
-                    dims=matrix.dims,
-                    path=rel_path,
-                )
-            )
+            records.append({"id": entry.id, "shift_mel": matrix.shift_mel,
+                            **variant_facts(matrix), "path": rel_path})
         return records
+
+    def in_manifest_order(pool):
+        """(entry, future) pairs, submitting each entry only when fewer
+        than ``2 * workers`` are in flight."""
+        in_flight = deque()
+        for entry in entries:
+            in_flight.append((entry, pool.submit(process_one, entry)))
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft()
+        yield from in_flight
 
     records: list = []
     failures: list = []
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(entry, pool.submit(process_one, entry)) for entry in entries]
-        for entry, future in futures:
+        for entry, future in in_manifest_order(pool):
             try:
                 records.extend(future.result())
             except Exception as exc:
@@ -220,11 +223,11 @@ def process_dataset(
                     {"id": entry.id, "error": type(exc).__name__, "message": str(exc)}
                 )
 
-    records.sort(key=lambda r: (r.id, r.shift_mel))
+    records.sort(key=lambda r: (r["id"], r["shift_mel"]))
     failures.sort(key=lambda f: f["id"])
     with open(out / "index.jsonl", "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(record.to_json() + "\n")
+            handle.write(json.dumps(record) + "\n")
     with open(out / "report.jsonl", "w", encoding="utf-8") as handle:
         for failure in failures:
             handle.write(json.dumps(failure) + "\n")
@@ -252,33 +255,3 @@ def export_text_archive(archive_dir, out_path) -> int:
                 text = "  " + " ".join(f"{float(v):.9g}" for v in row)
                 handle.write(text + (" ]\n" if i == last else "\n"))
     return len(entries)
-
-
-def read_text_archive(path) -> dict:
-    """Parse :func:`export_text_archive` output back into float32 arrays."""
-    out = {}
-    key = None
-    rows: list = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if key is None:
-                if not line.strip():
-                    continue
-                if not line.endswith("["):
-                    raise ValueError(f"expected a '<key>  [' header, got {line!r}")
-                key = line[:-1].strip()
-                rows = []
-                continue
-            closing = line.endswith("]")
-            if closing:
-                line = line[:-1]
-            values = [np.float32(v) for v in line.split()]
-            if values:
-                rows.append(values)
-            if closing:
-                out[key] = np.array(rows, dtype=np.float32)
-                key = None
-    if key is not None:
-        raise ValueError("unterminated matrix block")
-    return out

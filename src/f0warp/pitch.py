@@ -64,8 +64,9 @@ class PitchConfig:
     shift: float = 0.010
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in vars(self).values()):
-            raise ValueError("pitch settings must be finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
         if not 0 <= self.voicing_threshold <= 1:
@@ -78,11 +79,14 @@ class PitchConfig:
         if self.f0_max >= REQUIRED_SAMPLE_RATE / 2:
             raise DomainError("f0_max must be below Nyquist")
         win = int(round(self.window * REQUIRED_SAMPLE_RATE))
-        hop = whole_samples("pitch shift", self.shift)
+        hop = whole_samples("shift", self.shift)
         tau_min = max(2, int(REQUIRED_SAMPLE_RATE // self.f0_max))
         tau_max = int(math.ceil(REQUIRED_SAMPLE_RATE / self.f0_min))
         if tau_max + 2 > win:
-            raise DomainError("pitch window too short for f0_min")
+            raise DomainError(
+                f"window {self.window:g} s is too short for f0_min {self.f0_min:g} Hz:"
+                f" it needs {tau_max + 2} samples"
+            )
         return win, hop, tau_min, tau_max
 
 

@@ -45,3 +45,34 @@ def make_wav_dataset(tmp_path, f0s, duration=0.5):
         write_wav(wav_path, synth_harmonic(float(f0), duration))
         entries.append({"id": f"utt{i:02d}", "audio": str(wav_path)})
     return entries
+
+
+def read_text_archive(path) -> dict:
+    """Parse ``export-ark`` output (``export_text_archive``) back into
+    float32 arrays keyed by variant."""
+    out = {}
+    key = None
+    rows: list = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if key is None:
+                if not line.strip():
+                    continue
+                if not line.endswith("["):
+                    raise ValueError(f"expected a '<key>  [' header, got {line!r}")
+                key = line[:-1].strip()
+                rows = []
+                continue
+            closing = line.endswith("]")
+            if closing:
+                line = line[:-1]
+            values = [np.float32(v) for v in line.split()]
+            if values:
+                rows.append(values)
+            if closing:
+                out[key] = np.array(rows, dtype=np.float32)
+                key = None
+    if key is not None:
+        raise ValueError("unterminated matrix block")
+    return out

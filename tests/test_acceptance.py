@@ -25,7 +25,6 @@ from f0warp import (
     process_dataset,
     read_manifest,
     read_matrix,
-    read_text_archive,
     shift_vowel_for_f0,
     synth_harmonic,
     synth_vowel,
@@ -40,6 +39,7 @@ from tests.conftest import (
     archive_contents,
     make_wav_dataset,
     noisy_harmonic,
+    read_text_archive,
     write_manifest,
 )
 
@@ -227,8 +227,8 @@ def test_c8_frame_count_and_format_round_trips(tmp_path, rng):
     export_text_archive(tmp_path / "arch", tmp_path / "feats.ark")
     parsed = read_text_archive(tmp_path / "feats.ark")
     for record in result.records:
-        binary = read_matrix(tmp_path / "arch" / record.path)
-        text = parsed[variant_key(record.id, record.shift_mel)]
+        binary = read_matrix(tmp_path / "arch" / record["path"])
+        text = parsed[variant_key(record["id"], record["shift_mel"])]
         scale = np.maximum(np.abs(binary), 1e-12)
         assert np.max(np.abs(text - binary) / scale) <= 1e-6
     _report(8, "98x13 frames; binary exact; text export within 1e-6 relative")

@@ -171,7 +171,7 @@ def test_single_utterance_commands_match_batch(tmp_path, capsys, command, normal
     (record,) = read_archive_index(tmp_path / "arch")
     assert record["path"] == "a_s+0.mwf"
     assert out.read_bytes() == (tmp_path / "arch" / record["path"]).read_bytes()
-    for key in ("f0_utt", "f0_def", "delta_mel", "clamped", "fallback_used"):
+    for key in ("f0_utt", "f0_def", "delta_mel", "clamped", "fallback_used", "frames", "dims"):
         assert single[key] == record[key], key
     assert (single["delta_mel"] != 0.0) == normalize
 
@@ -189,15 +189,19 @@ def test_nonfinite_numbers_rejected(tmp_path, wav, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, setting", [("--hop", "hop"), ("--window", "window"), ("--pitch-shift", "pitch shift")]
+    "flag, setting", [("--hop", "hop"), ("--window", "window"), ("--pitch-shift", "shift")]
 )
 def test_setting_under_one_sample_is_a_clean_error(tmp_path, wav, capsys, flag, setting):
+    # The library names the config field; the CLI names the flag.
+    cls = PitchConfig if flag == "--pitch-shift" else FeatureConfig
+    with pytest.raises(ValueError, match=f"^{setting} of 1e-05 s is under one sample"):
+        cls(**{setting: 0.00001})
     out = tmp_path / "x.mwf"
     code = main(["extract", "--in", str(wav), "--out", str(out), "--normalize",
                  flag, "0.00001"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"f0warp: error: {setting} of 1e-05 s is under one sample at 16000 Hz\n"
+        f"f0warp: error: {flag} of 1e-05 s is under one sample at 16000 Hz\n"
     )
     assert not out.exists()
 
@@ -209,23 +213,27 @@ def test_process_reports_hop_under_one_sample(tmp_path, capsys):
     code = main(["process", "--manifest", str(manifest), "--out", str(out_dir),
                  "--hop", "0.00001"])
     assert code == EXIT_USAGE
-    assert "hop of 1e-05 s is under one sample" in capsys.readouterr().err
+    assert "--hop of 1e-05 s is under one sample" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 # Settings that no 16 kHz audio can meet, the start of the error naming
-# each, and the commands that take the flag.
+# each by its flag, and the commands that take the flag.
 UNUSABLE_SETTINGS = [
-    ("--hi-freq", "9000", "hi_freq 9000.0 Hz exceeds Nyquist", ("process", "extract")),
-    ("--window", "0.05", "dft_size must cover the analysis window", ("process", "extract")),
-    ("--hop", "0.00001", "hop of 1e-05 s is under one sample", ("process", "extract")),
-    ("--f0-max", "8000", "f0_max must be below Nyquist", ("process", "extract", "pitch")),
-    ("--pitch-window", "0.01", "pitch window too short for f0_min",
+    ("--hi-freq", "9000", "--hi-freq 9000.0 Hz exceeds Nyquist", ("process", "extract")),
+    ("--window", "0.05", "--dft-size 512 is shorter than --window 0.05 s (800 samples)",
+     ("process", "extract")),
+    ("--hop", "0.00001", "--hop of 1e-05 s is under one sample", ("process", "extract")),
+    ("--f0-max", "8000", "--f0-max must be below Nyquist", ("process", "extract", "pitch")),
+    ("--pitch-window", "0.01", "--pitch-window 0.01 s is too short for --f0-min 50 Hz",
      ("process", "extract", "pitch")),
+    ("--num-ceps", "40", "need 1 <= --num-ceps <= --num-filters", ("process", "extract")),
+    ("--lo-freq", "9000", "need 0 <= --lo-freq < --hi-freq", ("process", "extract")),
 ]
 
 
-@pytest.mark.parametrize("flag, value, message, commands", UNUSABLE_SETTINGS)
+@pytest.mark.parametrize("flag, value, message, commands", UNUSABLE_SETTINGS,
+                         ids=[flag for flag, *_ in UNUSABLE_SETTINGS])
 def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, message,
                                                  commands):
     # The input WAV does not exist: only a check made before any audio is
@@ -394,6 +402,12 @@ def test_warped_ceiling_past_shift_headroom_is_usage_error(
     err = capsys.readouterr().err
     assert f"--hi-freq {hi_freq}" in err
     assert "6269" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "process"])
+def test_negative_warped_ceiling_is_usage_error(tmp_path, wav, capsys, command):
+    assert _warped_run(tmp_path, wav, command, "-5") == EXIT_USAGE
+    assert capsys.readouterr().err == "f0warp: error: need 0 <= --lo-freq < --hi-freq\n"
 
 
 @pytest.mark.parametrize("command", ["extract", "process"])

@@ -400,7 +400,8 @@ class TestExtractFeatures:
             FeatureConfig(hi_freq=9000.0)
 
     def test_dft_smaller_than_window_rejected(self):
-        with pytest.raises(ValueError, match="dft_size must cover the analysis window"):
+        message = r"dft_size 256 is shorter than window 0.025 s \(400 samples\)"
+        with pytest.raises(ValueError, match=message):
             FeatureConfig(dft_size=256)
 
 

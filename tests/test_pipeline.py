@@ -15,13 +15,18 @@ from f0warp import (
     read_archive_index,
     read_manifest,
     read_matrix,
-    read_text_archive,
     write_matrix,
 )
+from f0warp import pipeline
 from f0warp.cli import EXIT_OK, main
 from f0warp.melwarp import BASELINE_HI_FREQ, WARPED_HI_FREQ
 from f0warp.pipeline import ManifestEntry, MatrixFormatError, variant_key
-from tests.conftest import archive_contents, make_wav_dataset, write_manifest
+from tests.conftest import (
+    archive_contents,
+    make_wav_dataset,
+    read_text_archive,
+    write_manifest,
+)
 
 
 class TestManifest:
@@ -118,7 +123,7 @@ class TestProcessDataset:
     def test_index_sorted_and_unique(self, tmp_path):
         entries, cfg, plan = self._setup(tmp_path)
         result = process_dataset(entries, tmp_path / "arch", cfg, plan, normalize=True)
-        keys = [(r.id, r.shift_mel) for r in result.records]
+        keys = [(r["id"], r["shift_mel"]) for r in result.records]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -127,6 +132,33 @@ class TestProcessDataset:
         process_dataset(entries, tmp_path / "a1", cfg, plan, normalize=True, workers=1)
         process_dataset(entries, tmp_path / "a2", cfg, plan, normalize=True, workers=4)
         assert archive_contents(tmp_path / "a1") == archive_contents(tmp_path / "a2")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_manifest_is_read_as_the_batch_goes(self, tmp_path, monkeypatch, workers):
+        # At most two utterances per worker are in flight: when utterance i
+        # starts, no more than i + 2 * workers entries have been pulled.
+        entries, cfg, _ = self._setup(tmp_path, f0s=(120.0,))
+        entries = [ManifestEntry(f"u{i:02d}", entries[0].audio_path) for i in range(12)]
+        pulled = []
+        pulled_at_start = {}
+
+        def manifest():
+            for entry in entries:
+                pulled.append(entry.id)
+                yield entry
+
+        plain_read = pipeline.read_wav
+
+        def read_wav(path, source_id):
+            pulled_at_start[source_id] = len(pulled)
+            return plain_read(path, source_id=source_id)
+
+        monkeypatch.setattr(pipeline, "read_wav", read_wav)
+        result = process_dataset(manifest(), tmp_path / "arch", cfg, make_plan(100.0, (0.0,)),
+                                 workers=workers)
+        assert len(result.records) == 12
+        for i, entry in enumerate(entries):
+            assert pulled_at_start[entry.id] <= i + 2 * workers, entry.id
 
     def test_unvoiced_utterance_takes_fallback(self, tmp_path):
         from f0warp import AudioBuffer, write_wav
@@ -142,8 +174,8 @@ class TestProcessDataset:
         )
         assert len(result.records) == 7
         for record in result.records:
-            assert record.fallback_used
-            assert record.delta_mel == pytest.approx(record.shift_mel, abs=1e-9)
+            assert record["fallback_used"]
+            assert record["delta_mel"] == pytest.approx(record["shift_mel"], abs=1e-9)
 
     def test_unnormalized_fan_out_uses_plan_base(self, tmp_path):
         # Without normalization the plan's base stands in for f0_utt, so a
@@ -152,9 +184,9 @@ class TestProcessDataset:
         result = process_dataset(entries, tmp_path / "arch", cfg, plan)
         assert len(result.records) == 7
         for record in result.records:
-            assert record.f0_utt == 100.0
-            assert record.delta_mel == pytest.approx(record.shift_mel, abs=1e-9)
-            assert not record.fallback_used
+            assert record["f0_utt"] == 100.0
+            assert record["delta_mel"] == pytest.approx(record["shift_mel"], abs=1e-9)
+            assert not record["fallback_used"]
 
     def test_low_speaker_keeps_clamped_variant(self, tmp_path):
         # 55 Hz normalized to a 200 Hz base needs about -198 Mels; the -60
@@ -170,8 +202,8 @@ class TestProcessDataset:
         )
         assert not result.failures
         assert len(result.records) == 7
-        clamped = [r for r in result.records if r.clamped]
-        assert [(r.shift_mel, r.delta_mel) for r in clamped] == [(-60.0, -250.0)]
+        clamped = [r for r in result.records if r["clamped"]]
+        assert [(r["shift_mel"], r["delta_mel"]) for r in clamped] == [(-60.0, -250.0)]
         assert len(list((tmp_path / "arch").glob("*.mwf"))) == 7
         assert (tmp_path / "arch" / "report.jsonl").read_text() == ""
 
@@ -275,8 +307,8 @@ class TestTextArchive:
         parsed = read_text_archive(out)
         assert len(parsed) == 7
         for record in result.records:
-            key = variant_key(record.id, record.shift_mel)
-            binary = read_matrix(tmp_path / "arch" / record.path)
+            key = variant_key(record["id"], record["shift_mel"])
+            binary = read_matrix(tmp_path / "arch" / record["path"])
             scale = np.maximum(np.abs(binary), 1e-12)
             assert np.max(np.abs(parsed[key] - binary) / scale) <= 1e-6
 

@@ -25,6 +25,7 @@ from f0warp import (
     median_f0,
     mel_to_hz,
     process_dataset,
+    read_archive_index,
     shift_vowel_for_f0,
     synth_harmonic,
     synth_vowel,
@@ -224,7 +225,8 @@ def test_archive_bytes_independent_of_worker_count(voiced, silent_s, silent_at):
                 normalize=True, workers=workers,
             )
             assert not result.failures
-            assert any(r.fallback_used for r in result.records)
+            assert any(r["fallback_used"] for r in result.records)
+            assert result.records == read_archive_index(tmp / f"w{workers}")
             archives.append(archive_contents(tmp / f"w{workers}"))
         assert archives[0] == archives[1]
 
