@@ -104,30 +104,31 @@ def _add_f0_def(parser, helptext: str):
                         help=f"{helptext} (default: %(default)g)")
 
 
-def _config(cls, flags, args, **fields):
-    """``cls`` built from the parsed values of ``flags``, then ``fields``."""
+def _config(cls, flags, args, more_flags=(), **fields):
+    """``cls`` built from the parsed values of ``flags`` plus ``fields``; a
+    usage error names the flags of ``flags`` and of ``more_flags``."""
     values = {field: getattr(args, flag[2:].replace("-", "_"))
               for flag, field, _ in flags}
     try:
-        return cls(**{**values, **fields})
+        return cls(**values, **fields)
     except ValueError as exc:
-        raise _naming_flags(exc, flags) from None
+        raise _naming_flags(exc, flags + more_flags) from None
 
 
 def _naming_flags(exc: ValueError, flags) -> UsageError:
     """``exc`` as a usage error: the library's message names config fields,
     and each field of ``flags`` is renamed to the flag that sets it."""
-    flag_of = {field: flag for flag, field, _ in flags}
+    flag_of = {field: flag for flag, field, *_ in flags}
     return UsageError(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc)))
 
 
 def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
-    flags = FEATURE_FLAGS + (("--hi-freq", "hi_freq", None),)
+    hi_flag = (("--hi-freq", "hi_freq"),)
     try:
         hi = filterbank_ceiling(args.hi_freq, warped)
     except CeilingTooHigh as exc:
-        raise _naming_flags(exc, flags) from None
-    return _config(FeatureConfig, flags, args, hi_freq=hi, feature_kind=kind)
+        raise _naming_flags(exc, hi_flag) from None
+    return _config(FeatureConfig, FEATURE_FLAGS, args, hi_flag, hi_freq=hi, feature_kind=kind)
 
 
 def _emit(obj) -> None:

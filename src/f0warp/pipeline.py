@@ -8,11 +8,11 @@ bytes are independent of worker count and processing order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -166,8 +166,8 @@ def process_dataset(
 
     Each worker owns one utterance end to end: read, pitch (when
     normalizing), warp, extract, write matrix files.  ``entries`` is read
-    as the batch goes, with at most two utterances per worker in flight,
-    and results are collected in manifest order.  The index is assembled
+    as the batch goes, with at most two utterances per worker in flight;
+    each one that finishes makes room for the next.  The index is assembled
     afterwards from a deterministic sort, so reruns produce byte-identical
     archives for any worker count; its lines, ``{"id", "shift_mel",
     **variant_facts(matrix), "path"}``, are the result's ``records``.
@@ -197,31 +197,29 @@ def process_dataset(
                             **variant_facts(matrix), "path": rel_path})
         return records
 
-    def in_manifest_order(pool):
-        """(entry, future) pairs, submitting each entry only when fewer
-        than ``2 * workers`` are in flight."""
-        in_flight = deque()
-        for entry in entries:
-            in_flight.append((entry, pool.submit(process_one, entry)))
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft()
-        yield from in_flight
-
     records: list = []
     failures: list = []
     if workers is None:
         workers = min(8, os.cpu_count() or 1)
+    entries = iter(entries)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for entry, future in in_manifest_order(pool):
-            try:
-                records.extend(future.result())
-            except Exception as exc:
-                if strict:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-                failures.append(
-                    {"id": entry.id, "error": type(exc).__name__, "message": str(exc)}
-                )
+        pending: dict = {}
+        while True:
+            for entry in itertools.islice(entries, 2 * workers - len(pending)):
+                pending[pool.submit(process_one, entry)] = entry
+            if not pending:
+                break
+            for future in wait(pending, return_when=FIRST_COMPLETED).done:
+                entry = pending.pop(future)
+                try:
+                    records.extend(future.result())
+                except Exception as exc:
+                    if strict:
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        raise
+                    failures.append(
+                        {"id": entry.id, "error": type(exc).__name__, "message": str(exc)}
+                    )
 
     records.sort(key=lambda r: (r["id"], r["shift_mel"]))
     failures.sort(key=lambda f: f["id"])

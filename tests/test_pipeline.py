@@ -1,4 +1,5 @@
 import json
+import threading
 import wave
 
 import numpy as np
@@ -159,6 +160,29 @@ class TestProcessDataset:
         assert len(result.records) == 12
         for i, entry in enumerate(entries):
             assert pulled_at_start[entry.id] <= i + 2 * workers, entry.id
+
+    def test_slow_utterance_does_not_hold_back_the_rest(self, tmp_path, monkeypatch):
+        # The first utterance finishes only once the last one has started:
+        # each utterance that finishes must make room for the next, or the
+        # window stays stuck behind the first.
+        entries, cfg, _ = self._setup(tmp_path, f0s=(120.0,))
+        entries = [ManifestEntry(f"u{i:02d}", entries[0].audio_path) for i in range(12)]
+        last_started = threading.Event()
+        plain_read = pipeline.read_wav
+
+        def read_wav(path, source_id):
+            if source_id == "u11":
+                last_started.set()
+            if source_id == "u00":
+                assert last_started.wait(timeout=30), "u00 held back the window"
+            return plain_read(path, source_id=source_id)
+
+        monkeypatch.setattr(pipeline, "read_wav", read_wav)
+        result = process_dataset(iter(entries), tmp_path / "arch", cfg,
+                                 make_plan(100.0, (0.0,)), workers=2)
+        assert not result.failures
+        assert result.records == read_archive_index(tmp_path / "arch")
+        assert [r["id"] for r in result.records] == [e.id for e in entries]
 
     def test_unvoiced_utterance_takes_fallback(self, tmp_path):
         from f0warp import AudioBuffer, write_wav
