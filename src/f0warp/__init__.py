@@ -23,8 +23,6 @@ from .audio_io import (
 from .augment import (
     DEFAULT_SHIFTS_MEL,
     AugmentationPlan,
-    DuplicateShift,
-    MissingZeroShift,
     augment_utterance,
     make_plan,
 )
@@ -35,7 +33,6 @@ from .melwarp import (
     MAX_ABS_SHIFT_MEL,
     MFCC,
     WARPED_HI_FREQ,
-    CeilingTooHigh,
     EmptyFilter,
     FeatureConfig,
     FeatureMatrix,

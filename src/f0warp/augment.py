@@ -11,6 +11,7 @@ clamped variants are kept and flagged so the fan-out count is stable).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +31,6 @@ DEFAULT_SHIFTS_MEL = (0.0, 20.0, -20.0, 40.0, -40.0, 60.0, -60.0)
 DEFAULT_BASE_F0_DEF = 100.0
 
 
-class DuplicateShift(ValueError):
-    pass
-
-
-class MissingZeroShift(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AugmentationPlan:
     base_f0_def: float
@@ -48,6 +41,11 @@ class AugmentationPlan:
         return len(self.shifts_mel)
 
 
+def shift_text(shift_mel: float) -> str:
+    """A shift as variant names write it: signed, 6 significant digits."""
+    return f"{shift_mel:+g}"
+
+
 def make_plan(
     base_f0_def: float = DEFAULT_BASE_F0_DEF, shifts_mel=None
 ) -> AugmentationPlan:
@@ -55,25 +53,30 @@ def make_plan(
 
     Entry i uses ``f0_def = mel_to_hz(hz_to_mel(base) - shift_i)``; the
     zero shift maps to the base exactly.  The base must be positive and
-    finite; shifts must be finite, distinct, include 0 and stay below
-    ``hz_to_mel(base)``, so that every target is a positive pitch.
+    finite; shifts must be finite, include 0 and stay below
+    ``hz_to_mel(base)``, so that every target is a positive pitch, and no
+    two may share a :func:`shift_text`, which names their variants.
     """
     if not 0 < base_f0_def < math.inf:
-        raise DomainError("base_f0_def must be positive and finite")
+        raise DomainError(f"base_f0_def must be positive and finite, not {base_f0_def:g}")
     shifts = tuple(
         float(s) for s in (DEFAULT_SHIFTS_MEL if shifts_mel is None else shifts_mel)
     )
     if not all(math.isfinite(s) for s in shifts):
-        raise DomainError(f"shifts must be finite: {shifts}")
-    if len(set(shifts)) != len(shifts):
-        raise DuplicateShift(f"shifts contain duplicates: {shifts}")
+        raise DomainError(f"shifts_mel must be finite: {shifts}")
+    for a, b in itertools.combinations(shifts, 2):
+        if a == b or shift_text(a) == shift_text(b):
+            raise DomainError(
+                f"shifts_mel {a!r} and {b!r} are one shift to the 6 significant"
+                f" digits of variant names"
+            )
     if 0.0 not in shifts:
-        raise MissingZeroShift("the zero shift must be part of every plan")
+        raise DomainError("shifts_mel must include 0")
     base_mel = hz_to_mel(base_f0_def)
     if max(shifts) >= base_mel:
         raise DomainError(
-            f"shift {max(shifts):g} Mel must be below {base_mel:.1f} Mel, the Mel"
-            f" value of the {base_f0_def:g} Hz base, for a positive target f0"
+            f"shifts_mel {max(shifts):g} must be below {base_mel:.1f} Mel, the Mel"
+            f" value of base_f0_def {base_f0_def:g} Hz, for a positive target f0"
         )
     values = tuple(
         float(base_f0_def) if s == 0.0 else mel_to_hz(base_mel - s) for s in shifts

@@ -1,4 +1,9 @@
-"""Command-line entry point: one executable, one subcommand per task."""
+"""Command-line entry point: one executable, one subcommand per task.
+
+Exit codes: 0 when all went well; 1 when a file or an input failed; 2 when
+``process`` failed some utterances but not all of the batch; 64 when a flag
+value cannot work, reported before any WAV is opened or output made.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ from .melwarp import (
     LOG_MEL,
     MFCC,
     WARPED_HI_FREQ,
-    CeilingTooHigh,
     FeatureConfig,
     filterbank_ceiling,
 )
@@ -81,6 +85,9 @@ PITCH_FLAGS = (
     ("--pitch-window", "window", "pitch analysis window in seconds"),
     ("--pitch-shift", "shift", "pitch frame shift in seconds"),
 )
+# (flag, make_plan argument) of the plan's flags.
+F0_DEF_FLAG = (("--f0-def", "base_f0_def"),)
+PLAN_FLAGS = F0_DEF_FLAG + (("--augment-shifts", "shifts_mel"),)
 
 
 def _add_config_flags(parser, title: str, defaults, flags):
@@ -104,31 +111,25 @@ def _add_f0_def(parser, helptext: str):
                         help=f"{helptext} (default: %(default)g)")
 
 
-def _config(cls, flags, args, more_flags=(), **fields):
-    """``cls`` built from the parsed values of ``flags`` plus ``fields``; a
-    usage error names the flags of ``flags`` and of ``more_flags``."""
-    values = {field: getattr(args, flag[2:].replace("-", "_"))
-              for flag, field, _ in flags}
-    try:
-        return cls(**values, **fields)
-    except ValueError as exc:
-        raise _naming_flags(exc, flags + more_flags) from None
-
-
-def _naming_flags(exc: ValueError, flags) -> UsageError:
-    """``exc`` as a usage error: the library's message names config fields,
-    and each field of ``flags`` is renamed to the flag that sets it."""
+def _config(build, flags, args, **fields):
+    """``build`` called with the parsed values of ``flags`` plus ``fields``.
+    A ValueError becomes a usage error: the library's message names
+    arguments, and each one of ``flags`` is renamed to the flag that sets it."""
     flag_of = {field: flag for flag, field, *_ in flags}
-    return UsageError(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc)))
+    values = {field: getattr(args, flag[2:].replace("-", "_"))
+              for field, flag in flag_of.items()}
+    try:
+        return build(**values, **fields)
+    except ValueError as exc:
+        raise UsageError(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc))) from None
 
 
 def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
-    hi_flag = (("--hi-freq", "hi_freq"),)
-    try:
-        hi = filterbank_ceiling(args.hi_freq, warped)
-    except CeilingTooHigh as exc:
-        raise _naming_flags(exc, hi_flag) from None
-    return _config(FeatureConfig, FEATURE_FLAGS, args, hi_flag, hi_freq=hi, feature_kind=kind)
+    def build(hi_freq, **values):
+        return FeatureConfig(hi_freq=filterbank_ceiling(hi_freq, warped), **values)
+
+    return _config(build, FEATURE_FLAGS + (("--hi-freq", "hi_freq"),), args,
+                   feature_kind=kind)
 
 
 def _emit(obj) -> None:
@@ -136,10 +137,11 @@ def _emit(obj) -> None:
 
 
 def cmd_pitch(args) -> int:
+    plan = _config(make_plan, F0_DEF_FLAG, args, shifts_mel=(0.0,))
     pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffer = read_wav(args.infile)
     track = detect_pitch(buffer, pitch_cfg)
-    summary_target = median_f0(track, args.f0_def)
+    summary_target = median_f0(track, plan.base_f0_def)
 
     lines = ["time,f0,periodicity"]
     for frame in track.frames:
@@ -171,7 +173,7 @@ def cmd_pitch(args) -> int:
 
 
 def _extract_like(args, kind: str) -> int:
-    plan = make_plan(args.f0_def, (0.0,))
+    plan = _config(make_plan, F0_DEF_FLAG, args, shifts_mel=(0.0,))
     cfg = _feature_config(args, warped=args.normalize, kind=kind)
     pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffer = read_wav(args.infile)
@@ -191,7 +193,7 @@ def cmd_fbank(args) -> int:
 
 
 def cmd_process(args) -> int:
-    plan = make_plan(args.f0_def, args.augment_shifts)
+    plan = _config(make_plan, PLAN_FLAGS, args)
     warped = args.normalize or any(s != 0.0 for s in plan.shifts_mel)
     cfg = _feature_config(args, warped=warped, kind=args.feature_kind)
     pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
@@ -272,7 +274,7 @@ def cmd_demo_fig1(args) -> int:
     )
     shifted = shift_vowel_for_f0(reference, 270.0)
     cfg = FeatureConfig(num_filters=15, hi_freq=6000.0, feature_kind=LOG_MEL)
-    plan = make_plan(args.f0_def, (0.0,))
+    plan = _config(make_plan, F0_DEF_FLAG, args, shifts_mel=(0.0,))
     pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
     buffers = [synth_vowel(reference), synth_vowel(shifted)]
     plain = [utterance_variants(b, cfg, plan, False, pitch_cfg)[0] for b in buffers]

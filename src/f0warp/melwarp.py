@@ -44,10 +44,6 @@ class EmptyFilter(ValueError):
     """A filter row covers no DFT bin (invalid shift/bandwidth/DFT combo)."""
 
 
-class CeilingTooHigh(ValueError):
-    """A warped filterbank ceiling leaves no room for a full-size shift."""
-
-
 def hz_to_mel(f):
     """Map frequency in Hz to Mels: ``1127 * ln(1 + f/700)``.
 
@@ -165,10 +161,6 @@ class FeatureConfig:
         """(window, hop) in samples; DomainError for either under one."""
         return whole_samples("window", self.window), whole_samples("hop", self.hop)
 
-    @property
-    def dims(self) -> int:
-        return self.num_ceps if self.feature_kind == MFCC else self.num_filters
-
 
 def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
     """The filterbank ceiling of an extraction, warped or not.
@@ -176,13 +168,13 @@ def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
     With ``hi_freq`` None this is BASELINE_HI_FREQ, or WARPED_HI_FREQ when
     any shift may be nonzero.  A given ``hi_freq`` is returned as it is,
     unless the extraction is warped and a MAX_ABS_SHIFT_MEL shift would
-    move the top filter past Nyquist; that raises CeilingTooHigh.
+    move the top filter past Nyquist; that raises DomainError.
     """
     if hi_freq is None:
         return WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
     limit = mel_to_hz(hz_to_mel(REQUIRED_SAMPLE_RATE / 2) - MAX_ABS_SHIFT_MEL)
     if warped and hi_freq > limit:
-        raise CeilingTooHigh(
+        raise DomainError(
             f"hi_freq {hi_freq:g} conflicts with warped extraction: a shift of"
             f" {MAX_ABS_SHIFT_MEL:g} Mels would push the top filter past Nyquist,"
             f" so warped ceilings must be at or below {int(limit)} Hz (leave hi_freq"

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .audio_io import AudioBuffer, read_wav
-from .augment import AugmentationPlan, augment_utterance, make_plan
+from .augment import AugmentationPlan, augment_utterance, make_plan, shift_text
 from .melwarp import FeatureConfig, FeatureMatrix, filterbank_ceiling
 from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
 
@@ -78,7 +78,7 @@ def read_manifest(path) -> list:
 
 
 def variant_key(entry_id: str, shift_mel: float) -> str:
-    return f"{entry_id}_s{shift_mel:+g}"
+    return f"{entry_id}_s{shift_text(shift_mel)}"
 
 
 def write_matrix(path, values: np.ndarray) -> None:
@@ -177,7 +177,7 @@ def process_dataset(
     Without ``cfg`` the filterbank ceiling follows :func:`filterbank_ceiling`
     for this run (warped when normalizing or when any plan shift is
     nonzero); a given warped ``cfg`` whose ceiling is too high raises
-    CeilingTooHigh before any audio is read.
+    DomainError before any audio is read.
     """
     plan = plan if plan is not None else make_plan(shifts_mel=(0.0,))
     warped = normalize or any(s != 0.0 for s in plan.shifts_mel)

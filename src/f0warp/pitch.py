@@ -98,15 +98,10 @@ class PitchFrame:
     f0: float | None
     periodicity: float
 
-    @property
-    def voiced(self) -> bool:
-        return self.f0 is not None
-
 
 @dataclass(frozen=True)
 class PitchTrack:
     frames: tuple
-    frame_shift: float
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,7 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
             times.tolist(), f0.tolist(), voiced.tolist(), periodicity.tolist()
         )
     )
-    return PitchTrack(frames=out, frame_shift=hop / REQUIRED_SAMPLE_RATE)
+    return PitchTrack(frames=out)
 
 
 def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:

@@ -4,9 +4,7 @@ import pytest
 from f0warp import (
     AudioBuffer,
     DomainError,
-    DuplicateShift,
     FeatureConfig,
-    MissingZeroShift,
     UtteranceF0,
     augment_utterance,
     compute_warp,
@@ -14,6 +12,7 @@ from f0warp import (
     hz_to_mel,
     make_plan,
 )
+from f0warp.augment import shift_text
 from f0warp.melwarp import MAX_ABS_SHIFT_MEL, WARPED_HI_FREQ
 
 PAPER_STYLE_SET = [58.52, 72.10, 85.93, 100.00, 114.32, 128.90, 143.74]
@@ -44,8 +43,18 @@ class TestMakePlan:
         assert plan.f0_def_values[2] == pytest.approx(143.74, abs=0.02)
 
     def test_duplicate_shift_rejected(self):
-        with pytest.raises(DuplicateShift):
+        with pytest.raises(DomainError, match=r"^shifts_mel 20\.0 and 20\.0 are one shift"):
             make_plan(100.0, (0.0, 20.0, 20.0))
+
+    def test_shifts_one_variant_name_apart_rejected(self):
+        # Both shifts are written "+20" in variant names, so one variant's
+        # matrix file would overwrite the other's.
+        assert shift_text(20.0) == shift_text(20.0000001) == "+20"
+        with pytest.raises(
+            DomainError, match=r"^shifts_mel 20\.0 and 20\.0000001 are one shift to the 6"
+        ):
+            make_plan(100.0, (0.0, 20.0, 20.0000001))
+        make_plan(100.0, (0.0, 20.0, 20.0001))
 
     @pytest.mark.parametrize(
         "base, shifts",
@@ -66,11 +75,13 @@ class TestMakePlan:
         # target pitch would be 0 Hz or below.
         make_plan(100.0, (0.0, 150.0))
         for shift in (150.5, 200.0):
-            with pytest.raises(DomainError, match=f"shift {shift:g} Mel must be below 150.5 Mel"):
+            with pytest.raises(
+                DomainError, match=f"^shifts_mel {shift:g} must be below 150.5 Mel"
+            ):
                 make_plan(100.0, (0.0, shift))
 
     def test_missing_zero_rejected(self):
-        with pytest.raises(MissingZeroShift):
+        with pytest.raises(DomainError, match="^shifts_mel must include 0$"):
             make_plan(100.0, (20.0, -20.0))
 
     def test_plan_value_definition(self):

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -229,11 +230,31 @@ UNUSABLE_SETTINGS = [
      ("process", "extract", "pitch")),
     ("--num-ceps", "40", "need 1 <= --num-ceps <= --num-filters", ("process", "extract")),
     ("--lo-freq", "9000", "need 0 <= --lo-freq < --hi-freq", ("process", "extract")),
+    ("--f0-def", "0", "--f0-def must be positive and finite, not 0",
+     ("process", "extract", "pitch", "demo-fig1")),
+    ("--augment-shifts", "20", "--augment-shifts must include 0", ("process",)),
+    ("--augment-shifts", "0,20,20",
+     "--augment-shifts 20.0 and 20.0 are one shift to the 6 significant digits",
+     ("process",)),
+    ("--augment-shifts", "0,nan", "--augment-shifts must be finite: (0.0, nan)",
+     ("process",)),
+    ("--augment-shifts", "0,200",
+     "--augment-shifts 200 must be below 150.5 Mel, the Mel value of --f0-def 100 Hz,"
+     " for a positive target f0", ("process",)),
+    # 20.0000001 is written "+20", so both variants would be one file.
+    ("--augment-shifts", "0,20,20.0000001",
+     "--augment-shifts 20.0 and 20.0000001 are one shift to the 6 significant digits",
+     ("process",)),
 ]
+# A flag with more than one row is told apart by its value.
+_ROWS_OF_FLAG = collections.Counter(flag for flag, *_ in UNUSABLE_SETTINGS)
 
 
-@pytest.mark.parametrize("flag, value, message, commands", UNUSABLE_SETTINGS,
-                         ids=[flag for flag, *_ in UNUSABLE_SETTINGS])
+@pytest.mark.parametrize(
+    "flag, value, message, commands", UNUSABLE_SETTINGS,
+    ids=[flag if _ROWS_OF_FLAG[flag] == 1 else f"{flag}={value}"
+         for flag, value, *_ in UNUSABLE_SETTINGS],
+)
 def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, message,
                                                  commands):
     # The input WAV does not exist: only a check made before any audio is
@@ -246,24 +267,12 @@ def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, 
         "process": ["--manifest", str(manifest), "--out", str(out)],
         "extract": ["--in", missing, "--out", str(out)],
         "pitch": ["--in", missing, "--csv", str(out)],
+        "demo-fig1": [],
     }
     for command in commands:
         assert main([command, *inputs[command], flag, value]) == EXIT_USAGE, command
         assert capsys.readouterr().err.startswith(f"f0warp: error: {message}"), command
         assert not out.exists(), command
-
-
-def test_plan_shift_past_the_base_names_its_bound(tmp_path, capsys):
-    manifest = tmp_path / "m.jsonl"
-    write_manifest(manifest, [{"id": "a", "audio": str(tmp_path / "missing.wav")}])
-    code = main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
-                 "--augment-shifts", "0,200", "--f0-def", "100"])
-    assert code == EXIT_FATAL
-    assert capsys.readouterr().err == (
-        "f0warp: DomainError: shift 200 Mel must be below 150.5 Mel, the Mel value"
-        " of the 100 Hz base, for a positive target f0\n"
-    )
-    assert not (tmp_path / "arch").exists()
 
 
 def test_synth_harmonic_writes_wav(tmp_path, capsys):

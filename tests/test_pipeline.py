@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from f0warp import (
-    CeilingTooHigh,
+    DomainError,
     DuplicateId,
     FeatureConfig,
     ParseError,
@@ -286,7 +286,7 @@ class TestProcessDataset:
         self, tmp_path, normalize, shifts
     ):
         missing = [ManifestEntry(id="a", audio_path=str(tmp_path / "nope.wav"))]
-        with pytest.raises(CeilingTooHigh, match="6269"):
+        with pytest.raises(DomainError, match="6269"):
             process_dataset(
                 missing, tmp_path / "arch", FeatureConfig(),
                 make_plan(100.0, shifts), normalize=normalize,
