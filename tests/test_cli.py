@@ -218,8 +218,9 @@ def test_process_reports_hop_under_one_sample(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-# Settings that no 16 kHz audio can meet, the start of the error naming
-# each by its flag, and the commands that take the flag.
+# Settings that no 16 kHz audio can meet and plans that cannot work, the
+# start of the error naming each by its flag, and the commands that take
+# the flag.
 UNUSABLE_SETTINGS = [
     ("--hi-freq", "9000", "--hi-freq 9000.0 Hz exceeds Nyquist", ("process", "extract")),
     ("--window", "0.05", "--dft-size 512 is shorter than --window 0.05 s (800 samples)",
