@@ -2,7 +2,8 @@
 
 Exit codes: 0 when all went well; 1 when a file or an input failed; 2 when
 ``process`` failed some utterances but not all of the batch; 64 when a flag
-value cannot work, reported before any WAV is opened or output made.
+value cannot work, reported before any WAV is opened, synthesized or
+written, or any other output made.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import argparse
 import json
 import re
 import sys
-
-import numpy as np
 
 from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
 from .augment import DEFAULT_BASE_F0_DEF, make_plan
@@ -34,7 +33,7 @@ from .pipeline import (
     write_matrix,
 )
 from .pitch import PitchConfig, detect_pitch, median_f0
-from .synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
+from .synthkit import VowelSpec, synth_harmonic, synth_vowel
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -88,6 +87,9 @@ PITCH_FLAGS = (
 # (flag, make_plan argument) of the plan's flags.
 F0_DEF_FLAG = (("--f0-def", "base_f0_def"),)
 PLAN_FLAGS = F0_DEF_FLAG + (("--augment-shifts", "shifts_mel"),)
+# (flag, argument) of the synthesis flags, each named after its argument.
+HARMONIC_FLAGS = (("--f0", "f0"), ("--duration", "duration"), ("--amplitude", "amplitude"))
+VOWEL_FLAGS = HARMONIC_FLAGS + (("--formants", "formants"), ("--bandwidths", "bandwidths"))
 
 
 def _add_config_flags(parser, title: str, defaults, flags):
@@ -104,6 +106,8 @@ def _add_feature_flags(parser):
     group.add_argument("--hi-freq", type=float, default=None,
                        help=f"filterbank ceiling in Hz (default: {BASELINE_HI_FREQ:g},"
                             f" or {WARPED_HI_FREQ:g} whenever warping is enabled)")
+    group.add_argument("--feature-kind", choices=(MFCC, LOG_MEL), default=MFCC,
+                       help="matrix contents (default: mfcc)")
 
 
 def _add_f0_def(parser, helptext: str):
@@ -124,12 +128,19 @@ def _config(build, flags, args, **fields):
         raise UsageError(re.sub(r"\w+", lambda m: flag_of.get(m[0], m[0]), str(exc))) from None
 
 
-def _feature_config(args, warped: bool, kind: str) -> FeatureConfig:
-    def build(hi_freq, **values):
+def _settings(args, plan_flags, **plan_fields):
+    """(plan, feature config, pitch config) of ``extract`` and ``process``.
+    The filterbank ceiling is the warped one when normalizing or when any
+    plan shift is nonzero."""
+    plan = _config(make_plan, plan_flags, args, **plan_fields)
+    warped = args.normalize or any(s != 0.0 for s in plan.shifts_mel)
+
+    def feature_config(hi_freq, **values):
         return FeatureConfig(hi_freq=filterbank_ceiling(hi_freq, warped), **values)
 
-    return _config(build, FEATURE_FLAGS + (("--hi-freq", "hi_freq"),), args,
-                   feature_kind=kind)
+    cfg = _config(feature_config, FEATURE_FLAGS + (("--hi-freq", "hi_freq"),
+                                                   ("--feature-kind", "feature_kind")), args)
+    return plan, cfg, _config(PitchConfig, PITCH_FLAGS, args)
 
 
 def _emit(obj) -> None:
@@ -172,31 +183,18 @@ def cmd_pitch(args) -> int:
     return EXIT_OK
 
 
-def _extract_like(args, kind: str) -> int:
-    plan = _config(make_plan, F0_DEF_FLAG, args, shifts_mel=(0.0,))
-    cfg = _feature_config(args, warped=args.normalize, kind=kind)
-    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
+def cmd_extract(args) -> int:
+    plan, cfg, pitch_cfg = _settings(args, F0_DEF_FLAG, shifts_mel=(0.0,))
     buffer = read_wav(args.infile)
     (matrix,) = utterance_variants(buffer, cfg, plan, args.normalize, pitch_cfg)
     write_matrix(args.out, matrix.values)
-    _emit({"out": str(args.out), "feature_kind": kind, "hi_freq": cfg.hi_freq,
+    _emit({"out": str(args.out), "feature_kind": cfg.feature_kind, "hi_freq": cfg.hi_freq,
            **variant_facts(matrix)})
     return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    return _extract_like(args, MFCC)
-
-
-def cmd_fbank(args) -> int:
-    return _extract_like(args, LOG_MEL)
-
-
 def cmd_process(args) -> int:
-    plan = _config(make_plan, PLAN_FLAGS, args)
-    warped = args.normalize or any(s != 0.0 for s in plan.shifts_mel)
-    cfg = _feature_config(args, warped=warped, kind=args.feature_kind)
-    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
+    plan, cfg, pitch_cfg = _settings(args, PLAN_FLAGS)
     entries = read_manifest(args.manifest)
     result = process_dataset(
         entries,
@@ -248,52 +246,11 @@ def _write_synth(path, buffer) -> int:
 
 
 def cmd_synth_harmonic(args) -> int:
-    return _write_synth(args.out, synth_harmonic(args.f0, args.duration, args.amplitude))
+    return _write_synth(args.out, _config(synth_harmonic, HARMONIC_FLAGS, args))
 
 
 def cmd_synth_vowel(args) -> int:
-    spec = VowelSpec(
-        f0=args.f0,
-        formants=tuple(args.formants),
-        bandwidths=tuple(args.bandwidths),
-        duration=args.duration,
-        amplitude=args.amplitude,
-    )
-    return _write_synth(args.out, synth_vowel(spec))
-
-
-def cmd_demo_fig1(args) -> int:
-    """Alignment demo: log-Mel outputs of a low- and a high-pitched vowel
-    with and without f0 normalization (15 filters, 20 Hz to 6 kHz)."""
-    reference = VowelSpec(
-        f0=106.0,
-        formants=(300.0, 2300.0, 3000.0),
-        bandwidths=(60.0, 100.0, 120.0),
-        duration=args.duration,
-        amplitude=0.9,
-    )
-    shifted = shift_vowel_for_f0(reference, 270.0)
-    cfg = FeatureConfig(num_filters=15, hi_freq=6000.0, feature_kind=LOG_MEL)
-    plan = _config(make_plan, F0_DEF_FLAG, args, shifts_mel=(0.0,))
-    pitch_cfg = _config(PitchConfig, PITCH_FLAGS, args)
-    buffers = [synth_vowel(reference), synth_vowel(shifted)]
-    plain = [utterance_variants(b, cfg, plan, False, pitch_cfg)[0] for b in buffers]
-    warped = [utterance_variants(b, cfg, plan, True, pitch_cfg)[0] for b in buffers]
-
-    def mean_frame_distance(a, b):
-        return float(np.mean(np.linalg.norm(a.values - b.values, axis=1)))
-
-    unnormalized = mean_frame_distance(plain[0], plain[1])
-    normalized = mean_frame_distance(warped[0], warped[1])
-    _emit(
-        {
-            "f0_detected": [m.warp.f0_utt for m in warped],
-            "unnormalized_distance": unnormalized,
-            "normalized_distance": normalized,
-            "ratio": normalized / unnormalized if unnormalized else None,
-        }
-    )
-    return EXIT_OK
+    return _write_synth(args.out, synth_vowel(_config(VowelSpec, VOWEL_FLAGS, args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,19 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
     p.set_defaults(func=cmd_pitch)
 
-    for name, helptext in (
-        ("extract", "MFCC matrix for one utterance"),
-        ("fbank", "log-Mel matrix for one utterance"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--in", dest="infile", required=True, help="input WAV file")
-        p.add_argument("--out", required=True, help="output matrix file")
-        p.add_argument("--normalize", action="store_true",
-                       help="warp by the detected median f0")
-        _add_f0_def(p, "target f0 in Hz")
-        _add_feature_flags(p)
-        _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
-        p.set_defaults(func=cmd_extract if name == "extract" else cmd_fbank)
+    p = sub.add_parser("extract", help="MFCC or log-Mel matrix for one utterance")
+    p.add_argument("--in", dest="infile", required=True, help="input WAV file")
+    p.add_argument("--out", required=True, help="output matrix file")
+    p.add_argument("--normalize", action="store_true", help="warp by the detected median f0")
+    _add_f0_def(p, "target f0 in Hz")
+    _add_feature_flags(p)
+    _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
+    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("process", help="batch a manifest into a feature archive")
     p.add_argument("--manifest", required=True, help="JSON-lines manifest")
@@ -336,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated Mel shifts, e.g. 0,20,-20,40,-40,60,-60"
                         " (default: 0, meaning no fan-out)")
     _add_f0_def(p, "base target f0 in Hz")
-    p.add_argument("--feature-kind", choices=(MFCC, LOG_MEL), default=MFCC,
-                   help="matrix contents (default: mfcc)")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first failed utterance")
     p.add_argument("--workers", type=_positive_int, default=None,
@@ -376,17 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak amplitude (default: 0.9)")
     p.add_argument("--out", required=True, help="output WAV file")
     p.set_defaults(func=cmd_synth_vowel)
-
-    p = sub.add_parser(
-        "demo-fig1",
-        help="alignment demo: low/high-pitched vowel distances with and"
-             " without f0 normalization",
-    )
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="vowel length in seconds (default: 1.0)")
-    _add_f0_def(p, "normalization target in Hz")
-    _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
-    p.set_defaults(func=cmd_demo_fig1)
 
     return parser
 

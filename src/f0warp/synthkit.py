@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
 from .errors import DomainError
 from .melwarp import hz_to_mel, mel_to_hz
 
@@ -29,19 +29,27 @@ class VowelSpec:
     amplitude: float = 0.9
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if len(self.formants) != 3 or len(self.bandwidths) != 3:
             raise DomainError("exactly three formants and bandwidths are required")
+        if self.f0 <= 0:
+            raise DomainError("f0 must be positive")
         f1, f2, f3 = self.formants
-        if not 0 < self.f0 < f1 < f2 < f3:
-            raise DomainError("need 0 < f0 < F1 < F2 < F3")
+        if not self.f0 < f1 < f2 < f3:
+            raise DomainError(f"formants must rise above f0 {self.f0:g}, not {self.formants}")
         if f3 >= REQUIRED_SAMPLE_RATE / 2:
-            raise DomainError("highest formant must be below Nyquist")
+            raise DomainError(f"formants must be below Nyquist, not F3 {f3:g} Hz")
         if any(b <= 0 for b in self.bandwidths):
             raise DomainError("bandwidths must be positive")
-        if self.duration <= 0:
-            raise DomainError("duration must be positive")
+        whole_samples("duration", self.duration)
         if not 0 <= self.amplitude <= 1:
             raise DomainError("amplitude must be in [0, 1]")
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} must be finite, not {value}")
 
 
 def _harmonic_sum(f0: float, n_samples: int) -> np.ndarray:
@@ -63,13 +71,12 @@ def _peak_normalize(x: np.ndarray, amplitude: float) -> np.ndarray:
 
 def synth_harmonic(f0: float, duration: float, amplitude: float = 0.9) -> AudioBuffer:
     """Band-limited impulse train at f0, peak-scaled to ``amplitude``."""
+    _require_finite(f0=f0, duration=duration, amplitude=amplitude)
     if not 0 < f0 < REQUIRED_SAMPLE_RATE / 2:
         raise DomainError("f0 must be positive and below Nyquist")
-    if duration <= 0:
-        raise DomainError("duration must be positive")
+    n = whole_samples("duration", duration)
     if not 0 <= amplitude <= 1:
         raise DomainError("amplitude must be in [0, 1]")
-    n = int(round(duration * REQUIRED_SAMPLE_RATE))
     x = _peak_normalize(_harmonic_sum(f0, n), amplitude)
     return AudioBuffer(x, source_id=f"harmonic-{f0:g}hz")
 
@@ -115,8 +122,7 @@ def resonator_cascade(source, a1, a2, gain):
 
 def synth_vowel(spec: VowelSpec) -> AudioBuffer:
     """Impulse train at ``spec.f0`` through the three formant resonators."""
-    n = int(round(spec.duration * REQUIRED_SAMPLE_RATE))
-    source = _harmonic_sum(spec.f0, n)
+    source = _harmonic_sum(spec.f0, whole_samples("duration", spec.duration))
     a1, a2, gain = resonator_coefficients(spec.formants, spec.bandwidths)
     y = resonator_cascade(source, a1, a2, gain)
     y = _peak_normalize(y, spec.amplitude)

@@ -112,7 +112,10 @@ def test_c3_shift_equivalence_and_composition():
 
 
 def test_c4_vowel_alignment():
-    """Normalized log-Mel distance < 0.8x the unnormalized distance."""
+    """Normalized log-Mel distance < 0.8x the unnormalized distance.
+
+    This is the Fig. 1 alignment measurement that the ``demo-fig1`` command
+    used to print."""
     reference = VowelSpec(
         f0=106.0, formants=(300.0, 2300.0, 3000.0),
         bandwidths=(60.0, 100.0, 120.0), duration=1.0, amplitude=0.9,

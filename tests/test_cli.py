@@ -25,13 +25,11 @@ from f0warp.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_USAGE,
-    PITCH_FLAGS,
-    _config,
-    _feature_config,
+    F0_DEF_FLAG,
+    _settings,
     build_parser,
     main,
 )
-from f0warp.melwarp import MFCC
 from tests.conftest import make_wav_dataset, write_manifest
 
 TOP_LEVEL_HELP = """\
@@ -43,16 +41,13 @@ it as a Mel-domain shift, and batch datasets into feature archives.
 positional arguments:
   COMMAND
     pitch         per-frame f0 as CSV plus a median summary
-    extract       MFCC matrix for one utterance
-    fbank         log-Mel matrix for one utterance
+    extract       MFCC or log-Mel matrix for one utterance
     process       batch a manifest into a feature archive
     export-ark    export an archive as a text table
     inspect       print a matrix file's header and stats
     synth-harmonic
                   write a harmonic-train WAV
     synth-vowel   write a source-filter vowel WAV
-    demo-fig1     alignment demo: low/high-pitched vowel distances with and
-                  without f0 normalization
 
 options:
   -h, --help      show this help message and exit
@@ -109,6 +104,7 @@ def test_flag_defaults_mirror_configs():
         "num_ceps": feature_defaults.num_ceps,
         "preemphasis": feature_defaults.preemphasis,
         "log_floor": feature_defaults.log_floor,
+        "feature_kind": feature_defaults.feature_kind,
         "f0_min": pitch_defaults.f0_min,
         "f0_max": pitch_defaults.f0_max,
         "voicing_threshold": pitch_defaults.voicing_threshold,
@@ -131,6 +127,7 @@ CONFIG_FLAG_CASES = [
     ("--num-ceps", FeatureConfig, "num_ceps", 20),
     ("--preemphasis", FeatureConfig, "preemphasis", 0.9),
     ("--log-floor", FeatureConfig, "log_floor", 1e-8),
+    ("--feature-kind", FeatureConfig, "feature_kind", "log-mel"),
     ("--f0-min", PitchConfig, "f0_min", 60.0),
     ("--f0-max", PitchConfig, "f0_max", 400.0),
     ("--voicing-threshold", PitchConfig, "voicing_threshold", 0.4),
@@ -147,28 +144,27 @@ def test_config_flag_reaches_its_field(command, flag, cls, field, value):
         "process": ["--manifest", "m.jsonl", "--out", "arch"],
     }[command]
     args = build_parser().parse_args([command, *required, flag, str(value)])
-    if cls is FeatureConfig:
-        cfg = _feature_config(args, True, MFCC)
-    else:
-        cfg = _config(PitchConfig, PITCH_FLAGS, args)
+    _, feature_cfg, pitch_cfg = _settings(args, F0_DEF_FLAG, shifts_mel=(0.0,))
+    cfg = feature_cfg if cls is FeatureConfig else pitch_cfg
     assert getattr(cfg, field) == value
 
 
-@pytest.mark.parametrize("command", ["extract", "fbank"])
+@pytest.mark.parametrize("kind", ["mfcc", "log-mel"], ids=["extract", "extract-log-mel"])
 @pytest.mark.parametrize("normalize", [True, False])
-def test_single_utterance_commands_match_batch(tmp_path, capsys, command, normalize):
+def test_single_utterance_commands_match_batch(tmp_path, capsys, kind, normalize):
     wav = tmp_path / "a.wav"
     write_wav(wav, synth_harmonic(160.0, 0.5))
     flags = ["--normalize"] if normalize else []
+    flags += ["--feature-kind", kind]
     out = tmp_path / "a.mwf"
-    assert main([command, "--in", str(wav), "--out", str(out)] + flags) == EXIT_OK
+    assert main(["extract", "--in", str(wav), "--out", str(out)] + flags) == EXIT_OK
     single = _last_json(capsys)
+    assert single["feature_kind"] == kind
 
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, [{"id": "a", "audio": str(wav)}])
-    kind = "mfcc" if command == "extract" else "log-mel"
-    assert main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch"),
-                 "--feature-kind", kind] + flags) == EXIT_OK
+    assert main(["process", "--manifest", str(manifest), "--out", str(tmp_path / "arch")]
+                + flags) == EXIT_OK
     (record,) = read_archive_index(tmp_path / "arch")
     assert record["path"] == "a_s+0.mwf"
     assert out.read_bytes() == (tmp_path / "arch" / record["path"]).read_bytes()
@@ -232,7 +228,7 @@ UNUSABLE_SETTINGS = [
     ("--num-ceps", "40", "need 1 <= --num-ceps <= --num-filters", ("process", "extract")),
     ("--lo-freq", "9000", "need 0 <= --lo-freq < --hi-freq", ("process", "extract")),
     ("--f0-def", "0", "--f0-def must be positive and finite, not 0",
-     ("process", "extract", "pitch", "demo-fig1")),
+     ("process", "extract", "pitch")),
     ("--augment-shifts", "20", "--augment-shifts must include 0", ("process",)),
     ("--augment-shifts", "0,20,20",
      "--augment-shifts 20.0 and 20.0 are one shift to the 6 significant digits",
@@ -246,6 +242,20 @@ UNUSABLE_SETTINGS = [
     ("--augment-shifts", "0,20,20.0000001",
      "--augment-shifts 20.0 and 20.0000001 are one shift to the 6 significant digits",
      ("process",)),
+    ("--f0", "0", "--f0 must be positive", ("synth-harmonic", "synth-vowel")),
+    ("--duration", "-1", "--duration of -1 s is under one sample",
+     ("synth-harmonic", "synth-vowel")),
+    ("--duration", "0.00001", "--duration of 1e-05 s is under one sample",
+     ("synth-harmonic", "synth-vowel")),
+    ("--duration", "inf", "--duration must be finite, not inf",
+     ("synth-harmonic", "synth-vowel")),
+    ("--duration", "nan", "--duration must be finite, not nan",
+     ("synth-harmonic", "synth-vowel")),
+    ("--amplitude", "5", "--amplitude must be in [0, 1]", ("synth-harmonic", "synth-vowel")),
+    ("--formants", "300,2300", "exactly three --formants and --bandwidths are required",
+     ("synth-vowel",)),
+    ("--bandwidths", "60,nan,120", "--bandwidths must be finite, not (60.0, nan, 120.0)",
+     ("synth-vowel",)),
 ]
 # A flag with more than one row is told apart by its value.
 _ROWS_OF_FLAG = collections.Counter(flag for flag, *_ in UNUSABLE_SETTINGS)
@@ -268,7 +278,8 @@ def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, 
         "process": ["--manifest", str(manifest), "--out", str(out)],
         "extract": ["--in", missing, "--out", str(out)],
         "pitch": ["--in", missing, "--csv", str(out)],
-        "demo-fig1": [],
+        "synth-harmonic": ["--f0", "100", "--out", str(out)],
+        "synth-vowel": ["--f0", "106", "--out", str(out)],
     }
     for command in commands:
         assert main([command, *inputs[command], flag, value]) == EXIT_USAGE, command
@@ -432,9 +443,10 @@ def test_hi_freq_8000_accepted_without_warping(tmp_path, wav, capsys):
     assert _last_json(capsys)["hi_freq"] == 8000.0
 
 
-def test_fbank_outputs_filterbank_dims(tmp_path, wav, capsys):
+def test_extract_log_mel_outputs_filterbank_dims(tmp_path, wav, capsys):
     out = tmp_path / "a.mwf"
-    assert main(["fbank", "--in", str(wav), "--out", str(out)]) == EXIT_OK
+    assert main(["extract", "--in", str(wav), "--out", str(out),
+                 "--feature-kind", "log-mel"]) == EXIT_OK
     assert _last_json(capsys)["dims"] == 23
 
 
@@ -506,14 +518,6 @@ def test_export_ark_and_inspect(tmp_path, capsys):
     assert info["min"] <= info["mean"] <= info["max"]
 
 
-def test_demo_fig1_reports_smaller_normalized_distance(capsys):
-    code = main(["demo-fig1", "--duration", "0.5"])
-    assert code == EXIT_OK
-    info = _last_json(capsys)
-    assert info["normalized_distance"] < info["unnormalized_distance"]
-    assert 0 < info["ratio"] < 1
-
-
 def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
     """Loading the CLI adds only standard-library modules to what numpy
     already loads, and running every subcommand loads no scipy module
@@ -530,7 +534,8 @@ def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
     runs = [
         ["process", "--manifest", str(manifest), "--out", arch, "--normalize"],
         ["extract", "--in", str(wav), "--out", str(tmp_path / "a.mwf"), "--normalize"],
-        ["fbank", "--in", str(wav), "--out", str(tmp_path / "b.mwf")],
+        ["extract", "--in", str(wav), "--out", str(tmp_path / "b.mwf"),
+         "--feature-kind", "log-mel"],
         ["pitch", "--in", str(wav), "--csv", str(tmp_path / "a.csv")],
         ["inspect", "--in", str(tmp_path / "a.mwf")],
         ["export-ark", "--archive", arch, "--out", str(tmp_path / "a.ark")],
@@ -538,7 +543,6 @@ def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
          "--out", str(tmp_path / "h.wav")],
         ["synth-vowel", "--f0", "150", "--duration", "0.2",
          "--out", str(tmp_path / "v.wav")],
-        ["demo-fig1", "--duration", "0.3"],
     ]
     probe = (
         "import json, sys\n"
