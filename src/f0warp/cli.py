@@ -87,9 +87,6 @@ PITCH_FLAGS = (
 # (flag, make_plan argument) of the plan's flags.
 F0_DEF_FLAG = (("--f0-def", "base_f0_def"),)
 PLAN_FLAGS = F0_DEF_FLAG + (("--augment-shifts", "shifts_mel"),)
-# (flag, argument) of the synthesis flags, each named after its argument.
-HARMONIC_FLAGS = (("--f0", "f0"), ("--duration", "duration"), ("--amplitude", "amplitude"))
-VOWEL_FLAGS = HARMONIC_FLAGS + (("--formants", "formants"), ("--bandwidths", "bandwidths"))
 
 
 def _add_config_flags(parser, title: str, defaults, flags):
@@ -246,11 +243,15 @@ def _write_synth(path, buffer) -> int:
 
 
 def cmd_synth_harmonic(args) -> int:
-    return _write_synth(args.out, _config(synth_harmonic, HARMONIC_FLAGS, args))
+    # Each synthesis flag is named after the argument it sets.
+    flags = [(f"--{name}", name) for name in ("f0", "duration", "amplitude")]
+    return _write_synth(args.out, _config(synth_harmonic, flags, args))
 
 
 def cmd_synth_vowel(args) -> int:
-    return _write_synth(args.out, synth_vowel(_config(VowelSpec, VOWEL_FLAGS, args)))
+    names = ("f0", "formants", "bandwidths", "duration", "amplitude")
+    flags = [(f"--{name}", name) for name in names]
+    return _write_synth(args.out, synth_vowel(_config(VowelSpec, flags, args)))
 
 
 def build_parser() -> argparse.ArgumentParser:
