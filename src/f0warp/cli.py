@@ -135,8 +135,8 @@ def _settings(args, plan_flags, **plan_fields):
     def feature_config(hi_freq, **values):
         return FeatureConfig(hi_freq=filterbank_ceiling(hi_freq, warped), **values)
 
-    cfg = _config(feature_config, FEATURE_FLAGS + (("--hi-freq", "hi_freq"),
-                                                   ("--feature-kind", "feature_kind")), args)
+    flags = FEATURE_FLAGS + (("--hi-freq", "hi_freq"), ("--feature-kind", "feature_kind"))
+    cfg = _config(feature_config, flags, args)
     return plan, cfg, _config(PitchConfig, PITCH_FLAGS, args)
 
 
