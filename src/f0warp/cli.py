@@ -1,9 +1,9 @@
 """Command-line entry point: one executable, one subcommand per task.
 
-Exit codes: 0 when all went well; 1 when a file or an input failed; 2 when
-``process`` failed some utterances but not all of the batch; 64 when a flag
-value cannot work, reported before any WAV is opened, synthesized or
-written, or any other output made.
+Exit codes: 0 when all went well; 1 when a file or an input failed or
+memory ran out; 2 when ``process`` failed some utterances but not all of the
+batch; 64 when a flag value cannot work, reported before any WAV is opened,
+synthesized or written, or any other output made.
 """
 
 from __future__ import annotations
@@ -126,14 +126,13 @@ def _config(build, flags, args, **fields):
 
 
 def _settings(args, plan_flags, **plan_fields):
-    """(plan, feature config, pitch config) of ``extract`` and ``process``.
-    The filterbank ceiling is the warped one when normalizing or when any
-    plan shift is nonzero."""
+    """(plan, feature config, pitch config) of ``extract`` and ``process``,
+    with the filterbank ceiling :func:`filterbank_ceiling` gives the plan."""
     plan = _config(make_plan, plan_flags, args, **plan_fields)
-    warped = args.normalize or any(s != 0.0 for s in plan.shifts_mel)
 
     def feature_config(hi_freq, **values):
-        return FeatureConfig(hi_freq=filterbank_ceiling(hi_freq, warped), **values)
+        hi_freq = filterbank_ceiling(hi_freq, args.normalize, plan.shifts_mel)
+        return FeatureConfig(hi_freq=hi_freq, **values)
 
     flags = FEATURE_FLAGS + (("--hi-freq", "hi_freq"), ("--feature-kind", "feature_kind"))
     cfg = _config(feature_config, flags, args)
@@ -341,6 +340,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (AudioIOError, ValueError, OSError) as exc:
         print(f"f0warp: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except MemoryError as exc:
+        # numpy raises a private subclass; name the builtin it stands for.
+        print(f"f0warp: MemoryError: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
 

@@ -162,14 +162,17 @@ class FeatureConfig:
         return whole_samples("window", self.window), whole_samples("hop", self.hop)
 
 
-def filterbank_ceiling(hi_freq: float | None, warped: bool) -> float:
-    """The filterbank ceiling of an extraction, warped or not.
+def filterbank_ceiling(hi_freq: float | None, normalize: bool, shifts_mel) -> float:
+    """The filterbank ceiling of an extraction.
 
-    With ``hi_freq`` None this is BASELINE_HI_FREQ, or WARPED_HI_FREQ when
-    any shift may be nonzero.  A given ``hi_freq`` is returned as it is,
-    unless the extraction is warped and a MAX_ABS_SHIFT_MEL shift would
-    move the top filter past Nyquist; that raises DomainError.
+    The extraction is warped when it normalizes or when any of its plan's
+    ``shifts_mel`` is nonzero.  With ``hi_freq`` None this is then
+    WARPED_HI_FREQ, and BASELINE_HI_FREQ otherwise.  A given ``hi_freq`` is
+    returned as it is, unless the extraction is warped and a
+    MAX_ABS_SHIFT_MEL shift would move the top filter past Nyquist; that
+    raises DomainError.
     """
+    warped = normalize or any(s != 0.0 for s in shifts_mel)
     if hi_freq is None:
         return WARPED_HI_FREQ if warped else BASELINE_HI_FREQ
     limit = mel_to_hz(hz_to_mel(REQUIRED_SAMPLE_RATE / 2) - MAX_ABS_SHIFT_MEL)
@@ -316,14 +319,6 @@ class FeatureMatrix:
     shift_mel: float
     fallback_used: bool
 
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
 
 def extract_features(
     buffer: AudioBuffer, cfg: FeatureConfig | None = None, *warps: WarpSpec
@@ -355,5 +350,5 @@ def extract_features(
         feats = np.log(np.maximum(pspec @ weights.T, cfg.log_floor))
         if dct is not None:
             feats = feats @ dct
-        out.append(np.ascontiguousarray(feats))
+        out.append(feats)
     return out

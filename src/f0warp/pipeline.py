@@ -109,14 +109,15 @@ def variant_facts(matrix: FeatureMatrix) -> dict:
     """The facts ``index.jsonl`` records of one variant, in its key order:
     the warp's f0s, shift and clamp, the unvoiced fallback and the shape."""
     warp = matrix.warp
+    frames, dims = matrix.values.shape
     return {
         "f0_utt": warp.f0_utt,
         "f0_def": warp.f0_def,
         "delta_mel": warp.delta_mel,
         "clamped": warp.clamped,
         "fallback_used": matrix.fallback_used,
-        "frames": matrix.num_frames,
-        "dims": matrix.dims,
+        "frames": frames,
+        "dims": dims,
     }
 
 
@@ -174,14 +175,14 @@ def process_dataset(
     Failures abort the batch in strict mode; otherwise they land in
     ``report.jsonl`` and processing continues.
 
-    Without ``cfg`` the filterbank ceiling follows :func:`filterbank_ceiling`
-    for this run (warped when normalizing or when any plan shift is
-    nonzero); a given warped ``cfg`` whose ceiling is too high raises
-    DomainError before any audio is read.
+    Without ``cfg`` the filterbank ceiling is :func:`filterbank_ceiling`'s
+    default for ``normalize`` and the plan; a given ``cfg`` whose ceiling
+    it rejects raises DomainError before any audio is read.
     """
     plan = plan if plan is not None else make_plan(shifts_mel=(0.0,))
-    warped = normalize or any(s != 0.0 for s in plan.shifts_mel)
-    hi_freq = filterbank_ceiling(cfg.hi_freq if cfg is not None else None, warped)
+    hi_freq = filterbank_ceiling(
+        cfg.hi_freq if cfg is not None else None, normalize, plan.shifts_mel
+    )
     cfg = cfg if cfg is not None else FeatureConfig(hi_freq=hi_freq)
     pitch_cfg = pitch_cfg if pitch_cfg is not None else PitchConfig()
     out = Path(out_dir)

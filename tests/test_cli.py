@@ -304,6 +304,23 @@ def test_synth_vowel_writes_wav(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth-harmonic", "synth-vowel"])
+def test_synthesis_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatch,
+                                                    command):
+    # A duration too long to hold in memory fails like any other input:
+    # exit 1, one line naming MemoryError, no traceback and no WAV.
+    def no_memory(f0, n_samples):
+        raise MemoryError(f"Unable to allocate {n_samples} samples")
+
+    monkeypatch.setattr(f0warp.synthkit, "_harmonic_sum", no_memory)
+    out = tmp_path / "big.wav"
+    code = main([command, "--f0", "100", "--duration", "100000", "--out", str(out)])
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err == "f0warp: MemoryError: Unable to allocate 1600000000 samples\n"
+    assert not out.exists()
+
+
 def test_pitch_outputs_csv_and_summary(tmp_path, wav, capsys):
     csv_path = tmp_path / "frames.csv"
     code = main(["pitch", "--in", str(wav), "--csv", str(csv_path)])

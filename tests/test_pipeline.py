@@ -267,17 +267,23 @@ class TestProcessDataset:
             )
 
     def test_default_config_takes_the_warped_ceiling(self, tmp_path):
-        # Normalizing without a config warps from the detected f0, so the
-        # default ceiling must leave room for the shift: a 300 Hz voice
-        # needs +269 Mels, which an 8 kHz top filter cannot take.
+        # Without a config the library picks the ceiling the CLI's defaults
+        # pick, for every (normalize, shifts) pair.  Normalizing warps from
+        # the detected f0, so the default ceiling must leave room for the
+        # shift: a 300 Hz voice needs +269 Mels, which an 8 kHz top filter
+        # cannot take.
         entries, _, _ = self._setup(tmp_path, f0s=(300.0, 120.0))
-        result = process_dataset(entries, tmp_path / "lib", normalize=True)
-        assert not result.failures
-        assert len(result.records) == 2
-        manifest = str(tmp_path / "m.jsonl")
-        assert main(["process", "--manifest", manifest,
-                     "--out", str(tmp_path / "cli"), "--normalize"]) == EXIT_OK
-        assert archive_contents(tmp_path / "lib") == archive_contents(tmp_path / "cli")
+        pairs = [(False, (0.0,)), (True, (0.0,)), (False, (0.0, 20.0)), (True, (0.0, 20.0))]
+        for i, (normalize, shifts) in enumerate(pairs):
+            lib, cli = tmp_path / f"lib{i}", tmp_path / f"cli{i}"
+            result = process_dataset(entries, lib, plan=make_plan(shifts_mel=shifts),
+                                     normalize=normalize)
+            assert not result.failures, (normalize, shifts)
+            assert len(result.records) == 2 * len(shifts)
+            args = ["process", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(cli),
+                    "--augment-shifts", ",".join(f"{s:g}" for s in shifts)]
+            assert main(args + (["--normalize"] if normalize else [])) == EXIT_OK
+            assert archive_contents(lib) == archive_contents(cli), (normalize, shifts)
 
     @pytest.mark.parametrize(
         "normalize, shifts", [(True, (0.0,)), (False, (0.0, 20.0))]
