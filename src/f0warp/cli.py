@@ -126,8 +126,8 @@ def _config(build, flags, args, **fields):
 
 
 def _settings(args, plan_flags, **plan_fields):
-    """(plan, feature config, pitch config) of ``extract`` and ``process``,
-    with the filterbank ceiling :func:`filterbank_ceiling` gives the plan."""
+    """(plan, feature config, pitch config) of ``extract`` and ``process``;
+    the feature config's ceiling comes from :func:`filterbank_ceiling`."""
     plan = _config(make_plan, plan_flags, args, **plan_fields)
 
     def feature_config(hi_freq, **values):
