@@ -18,7 +18,6 @@ from .audio_io import (
     RateMismatch,
     UnsupportedFormat,
     read_wav,
-    write_wav,
 )
 from .augment import (
     DEFAULT_SHIFTS_MEL,
@@ -68,12 +67,6 @@ from .pitch import (
     UtteranceF0,
     detect_pitch,
     median_f0,
-)
-from .synthkit import (
-    VowelSpec,
-    shift_vowel_for_f0,
-    synth_harmonic,
-    synth_vowel,
 )
 
 __version__ = "0.1.0"

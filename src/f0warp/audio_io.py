@@ -1,9 +1,8 @@
-"""Reading and writing 16 kHz mono 16-bit PCM WAV files."""
+"""Reading 16 kHz mono 16-bit PCM WAV files."""
 
 from __future__ import annotations
 
 import struct
-import wave
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# The package's only sample rate: buffers, configs and synthesis all use it.
+# The package's only sample rate: buffers and configs all use it.
 REQUIRED_SAMPLE_RATE = 16000
 
 # Symmetric dequantization: divide by 32768 (not 32767) so that the
@@ -120,14 +119,3 @@ def read_wav(path, source_id: str | None = None) -> AudioBuffer:
     raw = np.frombuffer(payload, dtype="<i2")
     samples = raw.astype(np.float64) / PCM_SCALE
     return AudioBuffer(samples, source_id=source_id if source_id is not None else path.stem)
-
-
-def write_wav(path, buffer: AudioBuffer) -> None:
-    """Write an AudioBuffer as 16-bit PCM WAV (test-support writer)."""
-    quantized = np.clip(np.round(buffer.samples * PCM_SCALE), -32768, 32767)
-    pcm = quantized.astype("<i2")
-    with wave.open(str(path), "wb") as handle:
-        handle.setnchannels(1)
-        handle.setsampwidth(2)
-        handle.setframerate(REQUIRED_SAMPLE_RATE)
-        handle.writeframes(pcm.tobytes())

@@ -2,8 +2,8 @@
 
 Exit codes: 0 when all went well; 1 when a file or an input failed or
 memory ran out; 2 when ``process`` failed some utterances but not all of the
-batch; 64 when a flag value cannot work, reported before any WAV is opened,
-synthesized or written, or any other output made.
+batch; 64 when a flag value cannot work, reported before any WAV is opened
+or any output made.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav, write_wav
+from .audio_io import AudioIOError, read_wav
 from .augment import DEFAULT_BASE_F0_DEF, make_plan
 from .melwarp import (
     BASELINE_HI_FREQ,
@@ -33,7 +33,6 @@ from .pipeline import (
     write_matrix,
 )
 from .pitch import PitchConfig, detect_pitch, median_f0
-from .synthkit import VowelSpec, synth_harmonic, synth_vowel
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -235,24 +234,6 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _write_synth(path, buffer) -> int:
-    write_wav(path, buffer)
-    _emit({"out": str(path), "samples": len(buffer), "sample_rate": REQUIRED_SAMPLE_RATE})
-    return EXIT_OK
-
-
-def cmd_synth_harmonic(args) -> int:
-    # Each synthesis flag is named after the argument it sets.
-    flags = [(f"--{name}", name) for name in ("f0", "duration", "amplitude")]
-    return _write_synth(args.out, _config(synth_harmonic, flags, args))
-
-
-def cmd_synth_vowel(args) -> int:
-    names = ("f0", "formants", "bandwidths", "duration", "amplitude")
-    flags = [(f"--{name}", name) for name in names]
-    return _write_synth(args.out, synth_vowel(_config(VowelSpec, flags, args)))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="f0warp",
@@ -305,28 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="matrix file")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("synth-harmonic", help="write a harmonic-train WAV")
-    p.add_argument("--f0", type=float, required=True, help="fundamental in Hz")
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="length in seconds (default: 1.0)")
-    p.add_argument("--amplitude", type=float, default=0.9,
-                   help="peak amplitude (default: 0.9)")
-    p.add_argument("--out", required=True, help="output WAV file")
-    p.set_defaults(func=cmd_synth_harmonic)
-
-    p = sub.add_parser("synth-vowel", help="write a source-filter vowel WAV")
-    p.add_argument("--f0", type=float, required=True, help="fundamental in Hz")
-    p.add_argument("--formants", type=_float_list, default=(300.0, 2300.0, 3000.0),
-                   help="F1,F2,F3 in Hz (default: 300,2300,3000)")
-    p.add_argument("--bandwidths", type=_float_list, default=(60.0, 100.0, 120.0),
-                   help="B1,B2,B3 in Hz (default: 60,100,120)")
-    p.add_argument("--duration", type=float, default=1.0,
-                   help="length in seconds (default: 1.0)")
-    p.add_argument("--amplitude", type=float, default=0.9,
-                   help="peak amplitude (default: 0.9)")
-    p.add_argument("--out", required=True, help="output WAV file")
-    p.set_defaults(func=cmd_synth_vowel)
-
     return parser
 
 
@@ -338,12 +297,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"f0warp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AudioIOError, ValueError, OSError) as exc:
+    except (AudioIOError, ValueError, OSError, MemoryError) as exc:
         print(f"f0warp: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except MemoryError as exc:
-        # numpy raises a private subclass; name the builtin it stands for.
-        print(f"f0warp: MemoryError: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from f0warp import AudioBuffer, synth_harmonic, write_wav
+from f0warp import AudioBuffer
+from tests.synthkit import synth_harmonic, write_wav
 
 
 @pytest.fixture

@@ -1,23 +1,27 @@
-"""Deterministic test-signal synthesis: harmonic trains and vowels.
+"""Test fixture: deterministic test signals and a WAV writer.
 
-Vowels are source-filter: a band-limited impulse train excites cascaded
-two-pole resonators, one per formant, each run as a plain recursion over
-the samples, so synthesis needs numpy alone.  ``shift_vowel_for_f0``
-re-places the formants of a reference vowel for a new pitch so that every
-formant keeps its Mel-domain distance to f0, which is the placement rule
-the warp-based normalization in :mod:`f0warp.melwarp` is built to exploit.
+The tests build their inputs here; none of it is part of the ``f0warp``
+package.  Vowels are source-filter: a band-limited impulse train excites
+cascaded two-pole resonators, one per formant, each run as a plain
+recursion over the samples, so synthesis needs numpy alone.
+``shift_vowel_for_f0`` re-places the formants of a reference vowel for a
+new pitch so that every formant keeps its Mel-domain distance to f0, which
+is the placement rule the warp-based normalization in
+:mod:`f0warp.melwarp` is built to exploit.  ``write_wav`` writes a buffer
+as the 16-bit PCM that :func:`f0warp.audio_io.read_wav` reads.
 """
 
 from __future__ import annotations
 
+import wave
 from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
-from .errors import DomainError
-from .melwarp import hz_to_mel, mel_to_hz
+from f0warp.audio_io import PCM_SCALE, REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
+from f0warp.errors import DomainError
+from f0warp.melwarp import hz_to_mel, mel_to_hz
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,6 @@ class VowelSpec:
     amplitude: float = 0.9
 
     def __post_init__(self):
-        _require_finite(**vars(self))
         if len(self.formants) != 3 or len(self.bandwidths) != 3:
             raise DomainError("exactly three formants and bandwidths are required")
         if self.f0 <= 0:
@@ -44,12 +47,6 @@ class VowelSpec:
         whole_samples("duration", self.duration)
         if not 0 <= self.amplitude <= 1:
             raise DomainError("amplitude must be in [0, 1]")
-
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise DomainError(f"{name} must be finite, not {value}")
 
 
 def _harmonic_sum(f0: float, n_samples: int) -> np.ndarray:
@@ -71,7 +68,6 @@ def _peak_normalize(x: np.ndarray, amplitude: float) -> np.ndarray:
 
 def synth_harmonic(f0: float, duration: float, amplitude: float = 0.9) -> AudioBuffer:
     """Band-limited impulse train at f0, peak-scaled to ``amplitude``."""
-    _require_finite(f0=f0, duration=duration, amplitude=amplitude)
     if not 0 < f0 < REQUIRED_SAMPLE_RATE / 2:
         raise DomainError("f0 must be positive and below Nyquist")
     n = whole_samples("duration", duration)
@@ -146,3 +142,14 @@ def shift_vowel_for_f0(ref: VowelSpec, target_f0: float) -> VowelSpec:
         bx * (new / old) for bx, new, old in zip(ref.bandwidths, shifted, ref.formants)
     )
     return replace(ref, f0=float(target_f0), formants=shifted, bandwidths=bandwidths)
+
+
+def write_wav(path, buffer: AudioBuffer) -> None:
+    """Write an AudioBuffer as 16-bit PCM WAV."""
+    quantized = np.clip(np.round(buffer.samples * PCM_SCALE), -32768, 32767)
+    pcm = quantized.astype("<i2")
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(REQUIRED_SAMPLE_RATE)
+        handle.writeframes(pcm.tobytes())

@@ -25,16 +25,12 @@ from f0warp import (
     process_dataset,
     read_manifest,
     read_matrix,
-    shift_vowel_for_f0,
-    synth_harmonic,
-    synth_vowel,
     warp_bin_mels,
     write_matrix,
 )
 from f0warp.melwarp import LOG_MEL, WARPED_HI_FREQ
 from f0warp.pipeline import variant_key
 from f0warp.pitch import UtteranceF0
-from f0warp.synthkit import VowelSpec
 from tests.conftest import (
     archive_contents,
     make_wav_dataset,
@@ -42,6 +38,7 @@ from tests.conftest import (
     read_text_archive,
     write_manifest,
 )
+from tests.synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
 
 SR = 16000
 

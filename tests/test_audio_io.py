@@ -11,8 +11,8 @@ from f0warp import (
     RateMismatch,
     UnsupportedFormat,
     read_wav,
-    write_wav,
 )
+from tests.synthkit import write_wav
 
 
 def _write_raw_wav(path, rate=16000, channels=1, sampwidth=2, frames=b"\x00\x00" * 100):

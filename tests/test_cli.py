@@ -13,12 +13,8 @@ from f0warp import (
     AudioBuffer,
     FeatureConfig,
     PitchConfig,
-    VowelSpec,
     read_archive_index,
     read_matrix,
-    synth_harmonic,
-    synth_vowel,
-    write_wav,
 )
 from f0warp.cli import (
     EXIT_FATAL,
@@ -31,6 +27,7 @@ from f0warp.cli import (
     main,
 )
 from tests.conftest import make_wav_dataset, write_manifest
+from tests.synthkit import VowelSpec, synth_harmonic, synth_vowel, write_wav
 
 TOP_LEVEL_HELP = """\
 usage: f0warp [-h] COMMAND ...
@@ -40,17 +37,15 @@ it as a Mel-domain shift, and batch datasets into feature archives.
 
 positional arguments:
   COMMAND
-    pitch         per-frame f0 as CSV plus a median summary
-    extract       MFCC or log-Mel matrix for one utterance
-    process       batch a manifest into a feature archive
-    export-ark    export an archive as a text table
-    inspect       print a matrix file's header and stats
-    synth-harmonic
-                  write a harmonic-train WAV
-    synth-vowel   write a source-filter vowel WAV
+    pitch     per-frame f0 as CSV plus a median summary
+    extract   MFCC or log-Mel matrix for one utterance
+    process   batch a manifest into a feature archive
+    export-ark
+              export an archive as a text table
+    inspect   print a matrix file's header and stats
 
 options:
-  -h, --help      show this help message and exit
+  -h, --help  show this help message and exit
 """
 
 
@@ -242,20 +237,6 @@ UNUSABLE_SETTINGS = [
     ("--augment-shifts", "0,20,20.0000001",
      "--augment-shifts 20.0 and 20.0000001 are one shift to the 6 significant digits",
      ("process",)),
-    ("--f0", "0", "--f0 must be positive", ("synth-harmonic", "synth-vowel")),
-    ("--duration", "-1", "--duration of -1 s is under one sample",
-     ("synth-harmonic", "synth-vowel")),
-    ("--duration", "0.00001", "--duration of 1e-05 s is under one sample",
-     ("synth-harmonic", "synth-vowel")),
-    ("--duration", "inf", "--duration must be finite, not inf",
-     ("synth-harmonic", "synth-vowel")),
-    ("--duration", "nan", "--duration must be finite, not nan",
-     ("synth-harmonic", "synth-vowel")),
-    ("--amplitude", "5", "--amplitude must be in [0, 1]", ("synth-harmonic", "synth-vowel")),
-    ("--formants", "300,2300", "exactly three --formants and --bandwidths are required",
-     ("synth-vowel",)),
-    ("--bandwidths", "60,nan,120", "--bandwidths must be finite, not (60.0, nan, 120.0)",
-     ("synth-vowel",)),
 ]
 # A flag with more than one row is told apart by its value.
 _ROWS_OF_FLAG = collections.Counter(flag for flag, *_ in UNUSABLE_SETTINGS)
@@ -278,8 +259,6 @@ def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, 
         "process": ["--manifest", str(manifest), "--out", str(out)],
         "extract": ["--in", missing, "--out", str(out)],
         "pitch": ["--in", missing, "--csv", str(out)],
-        "synth-harmonic": ["--f0", "100", "--out", str(out)],
-        "synth-vowel": ["--f0", "106", "--out", str(out)],
     }
     for command in commands:
         assert main([command, *inputs[command], flag, value]) == EXIT_USAGE, command
@@ -287,38 +266,35 @@ def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, 
         assert not out.exists(), command
 
 
-def test_synth_harmonic_writes_wav(tmp_path, capsys):
-    out = tmp_path / "h.wav"
-    code = main(["synth-harmonic", "--f0", "100", "--duration", "0.5",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    assert _last_json(capsys)["samples"] == 8000
-    assert out.exists()
+def test_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatch):
+    # numpy's own allocation failure (its private _ArrayMemoryError) fails
+    # like any other input: it is named MemoryError, with no traceback.
+    real_read_wav = f0warp.cli.read_wav
 
+    def read_wav(path, source_id=None):
+        if str(path).endswith("big.wav"):
+            np.empty(1 << 60, np.uint8)
+        return real_read_wav(path, source_id)
 
-def test_synth_vowel_writes_wav(tmp_path, capsys):
-    out = tmp_path / "v.wav"
-    code = main(["synth-vowel", "--f0", "106", "--duration", "0.3",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    assert out.exists()
+    monkeypatch.setattr(f0warp.cli, "read_wav", read_wav)
+    monkeypatch.setattr(f0warp.pipeline, "read_wav", read_wav)
+    (entry,) = make_wav_dataset(tmp_path, (120.0,))
+    big = str(tmp_path / "big.wav")
 
-
-@pytest.mark.parametrize("command", ["synth-harmonic", "synth-vowel"])
-def test_synthesis_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatch,
-                                                    command):
-    # A duration too long to hold in memory fails like any other input:
-    # exit 1, one line naming MemoryError, no traceback and no WAV.
-    def no_memory(f0, n_samples):
-        raise MemoryError(f"Unable to allocate {n_samples} samples")
-
-    monkeypatch.setattr(f0warp.synthkit, "_harmonic_sum", no_memory)
-    out = tmp_path / "big.wav"
-    code = main([command, "--f0", "100", "--duration", "100000", "--out", str(out)])
-    assert code == EXIT_FATAL
-    err = capsys.readouterr().err
-    assert err == "f0warp: MemoryError: Unable to allocate 1600000000 samples\n"
+    out = tmp_path / "big.mwf"
+    assert main(["extract", "--in", big, "--out", str(out)]) == EXIT_FATAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("f0warp: MemoryError: Unable to allocate")
     assert not out.exists()
+
+    # In a batch, that utterance is reported under the same name.
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [entry, {"id": "big", "audio": big}])
+    arch = tmp_path / "arch"
+    assert main(["process", "--manifest", str(manifest), "--out", str(arch)]) == EXIT_PARTIAL
+    (failure,) = map(json.loads, (arch / "report.jsonl").read_text().splitlines())
+    assert (failure["id"], failure["error"]) == ("big", "MemoryError")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pitch_outputs_csv_and_summary(tmp_path, wav, capsys):
@@ -556,10 +532,6 @@ def test_cli_imports_nothing_heavy_beyond_numpy(tmp_path):
         ["pitch", "--in", str(wav), "--csv", str(tmp_path / "a.csv")],
         ["inspect", "--in", str(tmp_path / "a.mwf")],
         ["export-ark", "--archive", arch, "--out", str(tmp_path / "a.ark")],
-        ["synth-harmonic", "--f0", "150", "--duration", "0.2",
-         "--out", str(tmp_path / "h.wav")],
-        ["synth-vowel", "--f0", "150", "--duration", "0.2",
-         "--out", str(tmp_path / "v.wav")],
     ]
     probe = (
         "import json, sys\n"

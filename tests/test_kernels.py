@@ -5,7 +5,7 @@ import scipy.fft
 import f0warp as fw
 from f0warp import _kernels
 from f0warp.pitch import DIP_THRESHOLD, DIP_TOLERANCE
-from f0warp.synthkit import resonator_cascade
+from tests.synthkit import resonator_cascade, synth_harmonic
 
 
 def _cumulative_mean_difference_loop(frames, tau_max, span):
@@ -132,5 +132,5 @@ class TestResonatorCascade:
 
 
 def test_numpy_lane_produces_same_pitch_results():
-    uf = fw.median_f0(fw.detect_pitch(fw.synth_harmonic(100.0, 0.5)), 100.0)
+    uf = fw.median_f0(fw.detect_pitch(synth_harmonic(100.0, 0.5)), 100.0)
     assert abs(uf.f0_utt - 100.0) <= 2.0, uf

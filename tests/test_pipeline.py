@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from f0warp import (
+    AudioBuffer,
     DomainError,
     DuplicateId,
     FeatureConfig,
@@ -28,6 +29,7 @@ from tests.conftest import (
     read_text_archive,
     write_manifest,
 )
+from tests.synthkit import write_wav
 
 
 class TestManifest:
@@ -185,8 +187,6 @@ class TestProcessDataset:
         assert [r["id"] for r in result.records] == [e.id for e in entries]
 
     def test_unvoiced_utterance_takes_fallback(self, tmp_path):
-        from f0warp import AudioBuffer, write_wav
-
         wav = tmp_path / "silence.wav"
         write_wav(wav, AudioBuffer(np.zeros(16000)))
         manifest = tmp_path / "m.jsonl"

@@ -11,15 +11,12 @@ from f0warp import (
     PitchFrame,
     PitchTrack,
     TooShort,
-    VowelSpec,
     detect_pitch,
     median_f0,
-    shift_vowel_for_f0,
-    synth_harmonic,
-    synth_vowel,
 )
 from f0warp import pitch
 from tests.conftest import noisy_harmonic
+from tests.synthkit import VowelSpec, shift_vowel_for_f0, synth_harmonic, synth_vowel
 
 SR = 16000
 

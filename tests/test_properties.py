@@ -13,7 +13,6 @@ from f0warp import (
     AudioBuffer,
     FeatureConfig,
     ManifestEntry,
-    VowelSpec,
     WarpSpec,
     build_filterbank,
     compute_warp,
@@ -26,17 +25,21 @@ from f0warp import (
     mel_to_hz,
     process_dataset,
     read_archive_index,
-    shift_vowel_for_f0,
-    synth_harmonic,
-    synth_vowel,
     warp_bin_mels,
-    write_wav,
 )
 from f0warp import _kernels
 from f0warp.melwarp import LOG_MEL, MAX_ABS_SHIFT_MEL, MFCC, WARPED_HI_FREQ
 from f0warp.pitch import DIP_THRESHOLD, _pick_lags
-from f0warp.synthkit import resonator_cascade, resonator_coefficients
 from tests.conftest import archive_contents
+from tests.synthkit import (
+    VowelSpec,
+    resonator_cascade,
+    resonator_coefficients,
+    shift_vowel_for_f0,
+    synth_harmonic,
+    synth_vowel,
+    write_wav,
+)
 from tests.test_kernels import (
     _cumulative_mean_difference_loop,
     _parabolic_minimum_loop,

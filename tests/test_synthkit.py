@@ -4,19 +4,22 @@ import pytest
 from f0warp import (
     DomainError,
     FeatureConfig,
-    VowelSpec,
     compute_warp,
     detect_pitch,
     extract_features,
     hz_to_mel,
     identity_warp,
     median_f0,
+)
+from f0warp.melwarp import LOG_MEL
+from tests.synthkit import (
+    VowelSpec,
+    resonator_cascade,
+    resonator_coefficients,
     shift_vowel_for_f0,
     synth_harmonic,
     synth_vowel,
 )
-from f0warp.melwarp import LOG_MEL
-from f0warp.synthkit import resonator_cascade, resonator_coefficients
 
 SR = 16000
 
