@@ -297,6 +297,32 @@ def test_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth-harmonic", "synth-vowel"])
+def test_synthesis_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatch,
+                                                    command):
+    # A synthesized utterance that reads cleanly but whose pitch analysis
+    # runs out of memory fails like any other input: exit 1, one line
+    # naming MemoryError, no traceback and no matrix.
+    synthesize = {
+        "synth-harmonic": lambda: synth_harmonic(100.0, 0.5),
+        "synth-vowel": lambda: synth_vowel(VowelSpec(
+            f0=106.0, formants=(730.0, 1090.0, 2440.0),
+            bandwidths=(60.0, 90.0, 120.0), duration=0.3)),
+    }
+    wav = tmp_path / "in.wav"
+    write_wav(wav, synthesize[command]())
+
+    def detect_pitch(buffer, cfg):
+        np.empty(1 << 60, np.uint8)
+
+    monkeypatch.setattr(f0warp.pipeline, "detect_pitch", detect_pitch)
+    out = tmp_path / "big.mwf"
+    assert main(["extract", "--in", str(wav), "--out", str(out), "--normalize"]) == EXIT_FATAL
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("f0warp: MemoryError: Unable to allocate")
+    assert not out.exists()
+
+
 def test_pitch_outputs_csv_and_summary(tmp_path, wav, capsys):
     csv_path = tmp_path / "frames.csv"
     code = main(["pitch", "--in", str(wav), "--csv", str(csv_path)])
