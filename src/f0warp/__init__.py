@@ -34,7 +34,6 @@ from .melwarp import (
     WARPED_HI_FREQ,
     EmptyFilter,
     FeatureConfig,
-    FeatureMatrix,
     WarpSpec,
     build_filterbank,
     compute_warp,

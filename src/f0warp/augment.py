@@ -15,17 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .audio_io import AudioBuffer
 from .errors import DomainError
-from .melwarp import (
-    FeatureConfig,
-    FeatureMatrix,
-    compute_warp,
-    extract_features,
-    hz_to_mel,
-    mel_to_hz,
-)
-from .pitch import UtteranceF0
+from .melwarp import FeatureConfig, compute_warp, extract_features, hz_to_mel, mel_to_hz
 
 DEFAULT_SHIFTS_MEL = (0.0, 20.0, -20.0, 40.0, -40.0, 60.0, -60.0)
 DEFAULT_BASE_F0_DEF = 100.0
@@ -54,8 +48,9 @@ def make_plan(
     Entry i uses ``f0_def = mel_to_hz(hz_to_mel(base) - shift_i)``; the
     zero shift maps to the base exactly.  The base must be positive and
     finite; shifts must be finite, include 0 and stay below
-    ``hz_to_mel(base)``, so that every target is a positive pitch, and no
-    two may share a :func:`shift_text`, which names their variants.
+    ``hz_to_mel(base)`` and above the shift whose target overflows, so
+    that every target is a positive, finite pitch, and no two may share a
+    :func:`shift_text`, which names their variants.
     """
     if not 0 < base_f0_def < math.inf:
         raise DomainError(f"base_f0_def must be positive and finite, not {base_f0_def:g}")
@@ -78,9 +73,15 @@ def make_plan(
             f"shifts_mel {max(shifts):g} must be below {base_mel:.1f} Mel, the Mel"
             f" value of base_f0_def {base_f0_def:g} Hz, for a positive target f0"
         )
-    values = tuple(
-        float(base_f0_def) if s == 0.0 else mel_to_hz(base_mel - s) for s in shifts
-    )
+    with np.errstate(over="ignore"):
+        values = tuple(
+            float(base_f0_def) if s == 0.0 else mel_to_hz(base_mel - s) for s in shifts
+        )
+    if not all(map(math.isfinite, values)):
+        raise DomainError(
+            f"shifts_mel {min(shifts):g} gives base_f0_def {base_f0_def:g} Hz a target"
+            f" f0 too high to be a finite number"
+        )
     return AugmentationPlan(
         base_f0_def=float(base_f0_def), shifts_mel=shifts, f0_def_values=values
     )
@@ -90,18 +91,24 @@ def augment_utterance(
     buffer: AudioBuffer,
     cfg: FeatureConfig,
     plan: AugmentationPlan,
-    f0_utt: UtteranceF0,
+    f0_utt: float,
+    fallback_used: bool,
 ) -> list:
-    """One FeatureMatrix per plan entry, warped from ``f0_utt.f0_utt``.
+    """One ``(facts, values)`` pair per plan entry, warped from ``f0_utt``.
 
-    Callers that do not normalize pass the plan's base as ``f0_utt``, so
-    each variant's shift equals its plan entry exactly.  Every matrix
-    records its plan shift and whether the unvoiced-utterance fallback was
-    taken.
+    ``values`` is the variant's frames x dims feature matrix.  ``facts``
+    are its ``index.jsonl`` fields, in index order: the plan shift, the
+    warp's f0s, shift and clamp, whether the unvoiced-utterance fallback
+    gave ``f0_utt``, and the matrix shape.  Callers that do not normalize
+    pass the plan's base as ``f0_utt``, so each variant's shift equals its
+    plan entry exactly.
     """
-    warps = [compute_warp(f0_utt.f0_utt, f0_def) for f0_def in plan.f0_def_values]
+    warps = [compute_warp(f0_utt, f0_def) for f0_def in plan.f0_def_values]
     matrices = extract_features(buffer, cfg, *warps)
     return [
-        FeatureMatrix(values, warp, shift, f0_utt.fallback_used)
+        ({"shift_mel": shift, "f0_utt": warp.f0_utt, "f0_def": warp.f0_def,
+          "delta_mel": warp.delta_mel, "clamped": warp.clamped,
+          "fallback_used": fallback_used, "frames": values.shape[0],
+          "dims": values.shape[1]}, values)
         for values, warp, shift in zip(matrices, warps, plan.shifts_mel)
     ]

@@ -20,8 +20,12 @@ from .melwarp import (
     LOG_MEL,
     MFCC,
     WARPED_HI_FREQ,
+    EmptyFilter,
     FeatureConfig,
+    build_filterbank,
+    compute_warp,
     filterbank_ceiling,
+    warp_bin_mels,
 )
 from .pipeline import (
     export_text_archive,
@@ -29,7 +33,6 @@ from .pipeline import (
     read_manifest,
     read_matrix,
     utterance_variants,
-    variant_facts,
     write_matrix,
 )
 from .pitch import PitchConfig, detect_pitch, median_f0
@@ -126,7 +129,9 @@ def _config(build, flags, args, **fields):
 
 def _settings(args, plan_flags, **plan_fields):
     """(plan, feature config, pitch config) of ``extract`` and ``process``;
-    the feature config's ceiling comes from :func:`filterbank_ceiling`."""
+    the feature config's ceiling comes from :func:`filterbank_ceiling`.
+    Without ``--normalize`` every variant's warp is known from the plan, so
+    a filterbank with an empty filter is a usage error here."""
     plan = _config(make_plan, plan_flags, args, **plan_fields)
 
     def feature_config(hi_freq, **values):
@@ -135,6 +140,13 @@ def _settings(args, plan_flags, **plan_fields):
 
     flags = FEATURE_FLAGS + (("--hi-freq", "hi_freq"), ("--feature-kind", "feature_kind"))
     cfg = _config(feature_config, flags, args)
+    if not args.normalize:
+        warps = [compute_warp(plan.base_f0_def, f0_def) for f0_def in plan.f0_def_values]
+        try:
+            build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
+        except EmptyFilter as exc:
+            raise UsageError(f"--num-filters {cfg.num_filters} at --dft-size"
+                             f" {cfg.dft_size}: {exc}") from None
     return plan, cfg, _config(PitchConfig, PITCH_FLAGS, args)
 
 
@@ -181,10 +193,11 @@ def cmd_pitch(args) -> int:
 def cmd_extract(args) -> int:
     plan, cfg, pitch_cfg = _settings(args, F0_DEF_FLAG, shifts_mel=(0.0,))
     buffer = read_wav(args.infile)
-    (matrix,) = utterance_variants(buffer, cfg, plan, args.normalize, pitch_cfg)
-    write_matrix(args.out, matrix.values)
+    ((facts, values),) = utterance_variants(buffer, cfg, plan, args.normalize, pitch_cfg)
+    write_matrix(args.out, values)
+    del facts["shift_mel"]  # always the plan's one shift, 0
     _emit({"out": str(args.out), "feature_kind": cfg.feature_kind, "hi_freq": cfg.hi_freq,
-           **variant_facts(matrix)})
+           **facts})
     return EXIT_OK
 
 

@@ -76,7 +76,9 @@ class WarpSpec:
 
 
 def identity_warp(f0: float = 100.0) -> WarpSpec:
-    """Warp with a zero shift (f0_utt == f0_def)."""
+    """Warp with a zero shift (f0_utt == f0_def) at a positive, finite f0."""
+    if not 0 < f0 < math.inf:
+        raise DomainError(f"f0 must be positive and finite, not {f0:g}")
     return WarpSpec(float(f0), float(f0), 0.0, False)
 
 
@@ -85,10 +87,12 @@ def compute_warp(f0_utt: float, f0_def: float) -> WarpSpec:
 
     ``delta_mel = hz_to_mel(f0_utt) - hz_to_mel(f0_def)``, clamped to
     +/- MAX_ABS_SHIFT_MEL with the ``clamped`` flag recording that the
-    clamp was applied.
+    clamp was applied.  Both f0s must be positive and finite.
     """
-    if f0_utt <= 0 or f0_def <= 0:
-        raise DomainError("f0_utt and f0_def must be positive")
+    if not (0 < f0_utt < math.inf and 0 < f0_def < math.inf):
+        raise DomainError(
+            f"f0_utt and f0_def must be positive and finite, not {f0_utt:g} and {f0_def:g}"
+        )
     raw = hz_to_mel(f0_utt) - hz_to_mel(f0_def)
     clamped = abs(raw) > MAX_ABS_SHIFT_MEL
     delta = min(max(raw, -MAX_ABS_SHIFT_MEL), MAX_ABS_SHIFT_MEL)
@@ -307,17 +311,6 @@ def _dct_basis(num_filters: int, num_ceps: int) -> np.ndarray:
     basis = np.sqrt(2.0 / num_filters) * np.cos(angle)
     basis[:, 0] *= np.sqrt(0.5)
     return basis
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """frames x dims feature values, the warp that produced them, and the
-    plan shift and unvoiced fallback of the variant they belong to."""
-
-    values: np.ndarray
-    warp: WarpSpec
-    shift_mel: float
-    fallback_used: bool
 
 
 def extract_features(

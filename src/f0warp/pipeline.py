@@ -2,8 +2,10 @@
 
 An archive directory holds one small binary matrix file per (utterance,
 shift) variant, an ``index.jsonl`` of one record per variant sorted by
-(id, shift) and a ``report.jsonl`` of per-utterance failures.  Output
-bytes are independent of worker count and processing order.
+(id, shift) and a ``report.jsonl`` of per-utterance failures.  A
+variant's index record is its id, the facts
+:func:`~f0warp.augment.augment_utterance` gives it, and its file's path.
+Output bytes are independent of worker count and processing order.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav
 from .augment import AugmentationPlan, augment_utterance, make_plan, shift_text
-from .melwarp import FeatureConfig, FeatureMatrix, filterbank_ceiling
-from .pitch import PitchConfig, UtteranceF0, detect_pitch, median_f0
+from .melwarp import FeatureConfig, filterbank_ceiling
+from .pitch import PitchConfig, detect_pitch, median_f0
 
 MATRIX_MAGIC = b"MWF1"
 
@@ -105,22 +107,6 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(data[12:], dtype="<f4").reshape(rows, cols)
 
 
-def variant_facts(matrix: FeatureMatrix) -> dict:
-    """The facts ``index.jsonl`` records of one variant, in its key order:
-    the warp's f0s, shift and clamp, the unvoiced fallback and the shape."""
-    warp = matrix.warp
-    frames, dims = matrix.values.shape
-    return {
-        "f0_utt": warp.f0_utt,
-        "f0_def": warp.f0_def,
-        "delta_mel": warp.delta_mel,
-        "clamped": warp.clamped,
-        "fallback_used": matrix.fallback_used,
-        "frames": frames,
-        "dims": dims,
-    }
-
-
 def utterance_variants(
     buffer: AudioBuffer,
     cfg: FeatureConfig,
@@ -128,14 +114,13 @@ def utterance_variants(
     normalize: bool,
     pitch_cfg: PitchConfig,
 ) -> list:
-    """One FeatureMatrix per plan entry of one utterance, warped from its
-    detected median f0 when normalizing and from the plan's base (a zero
-    normalization shift) otherwise."""
+    """The ``(facts, values)`` pair of each plan entry of one utterance,
+    warped from its detected median f0 when normalizing and from the plan's
+    base (a zero normalization shift) otherwise."""
     if normalize:
-        f0_utt = median_f0(detect_pitch(buffer, pitch_cfg), plan.base_f0_def)
-    else:
-        f0_utt = UtteranceF0(plan.base_f0_def, 0, False)
-    return augment_utterance(buffer, cfg, plan, f0_utt)
+        f0 = median_f0(detect_pitch(buffer, pitch_cfg), plan.base_f0_def)
+        return augment_utterance(buffer, cfg, plan, f0.f0_utt, f0.fallback_used)
+    return augment_utterance(buffer, cfg, plan, plan.base_f0_def, False)
 
 
 @dataclass
@@ -170,8 +155,9 @@ def process_dataset(
     as the batch goes, with at most two utterances per worker in flight;
     each one that finishes makes room for the next.  The index is assembled
     afterwards from a deterministic sort, so reruns produce byte-identical
-    archives for any worker count; its lines, ``{"id", "shift_mel",
-    **variant_facts(matrix), "path"}``, are the result's ``records``.
+    archives for any worker count; its lines, ``{"id", **facts, "path"}``
+    with each variant's facts from :func:`utterance_variants`, are the
+    result's ``records``.
     Failures abort the batch in strict mode; otherwise they land in
     ``report.jsonl`` and processing continues.
 
@@ -191,11 +177,10 @@ def process_dataset(
     def process_one(entry: ManifestEntry) -> list:
         buffer = read_wav(entry.audio_path, source_id=entry.id)
         records = []
-        for matrix in utterance_variants(buffer, cfg, plan, normalize, pitch_cfg):
-            rel_path = variant_key(entry.id, matrix.shift_mel) + ".mwf"
-            write_matrix(out / rel_path, matrix.values)
-            records.append({"id": entry.id, "shift_mel": matrix.shift_mel,
-                            **variant_facts(matrix), "path": rel_path})
+        for facts, values in utterance_variants(buffer, cfg, plan, normalize, pitch_cfg):
+            rel_path = variant_key(entry.id, facts["shift_mel"]) + ".mwf"
+            write_matrix(out / rel_path, values)
+            records.append({"id": entry.id, **facts, "path": rel_path})
         return records
 
     records: list = []

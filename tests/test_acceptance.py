@@ -11,7 +11,6 @@ from f0warp import (
     AudioBuffer,
     FeatureConfig,
     WarpSpec,
-    augment_utterance,
     build_filterbank,
     compute_warp,
     detect_pitch,
@@ -30,7 +29,6 @@ from f0warp import (
 )
 from f0warp.melwarp import LOG_MEL, WARPED_HI_FREQ
 from f0warp.pipeline import variant_key
-from f0warp.pitch import UtteranceF0
 from tests.conftest import (
     archive_contents,
     make_wav_dataset,

@@ -5,7 +5,7 @@ from f0warp import (
     AudioBuffer,
     DomainError,
     FeatureConfig,
-    UtteranceF0,
+    WarpSpec,
     augment_utterance,
     compute_warp,
     extract_features,
@@ -80,6 +80,12 @@ class TestMakePlan:
             ):
                 make_plan(100.0, (0.0, shift))
 
+    def test_shift_with_no_finite_target_rejected(self):
+        # hz_to_mel(100) + 1e6 Mel is past the largest float in Hz; the plan
+        # is refused without an overflow warning or an infinite target.
+        with pytest.raises(DomainError, match=r"^shifts_mel -1e\+06 gives base_f0_def 100 Hz"):
+            make_plan(100.0, (0.0, 20.0, -1e6))
+
     def test_missing_zero_rejected(self):
         with pytest.raises(DomainError, match="^shifts_mel must include 0$"):
             make_plan(100.0, (20.0, -20.0))
@@ -95,63 +101,65 @@ class TestMakePlan:
 
 
 class TestAugmentUtterance:
-    def _run(self, f0_utt):
+    def _run(self, f0_utt, fallback_used=False):
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
         plan = make_plan(100.0)
-        return augment_utterance(_buffer(), cfg, plan, f0_utt), plan, cfg
+        return augment_utterance(_buffer(), cfg, plan, f0_utt, fallback_used), plan, cfg
 
     def test_fan_out_cardinality(self):
-        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
-        assert len(mats) == len(plan) == 7
+        variants, plan, _ = self._run(270.0)
+        assert len(variants) == len(plan) == 7
 
     def test_delta_composition(self):
-        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
+        variants, plan, _ = self._run(270.0)
         base_term = hz_to_mel(270.0) - hz_to_mel(100.0)
-        for matrix, shift in zip(mats, plan.shifts_mel):
-            raw = hz_to_mel(270.0) - hz_to_mel(matrix.warp.f0_def)
+        for (facts, _), shift in zip(variants, plan.shifts_mel):
+            raw = hz_to_mel(270.0) - hz_to_mel(facts["f0_def"])
             assert raw == pytest.approx(base_term + shift, abs=1e-9)
             expected = min(max(base_term + shift, -MAX_ABS_SHIFT_MEL), MAX_ABS_SHIFT_MEL)
-            assert matrix.warp.delta_mel == pytest.approx(expected, abs=1e-9)
+            assert facts["delta_mel"] == pytest.approx(expected, abs=1e-9)
 
     def test_clamped_variants_kept_and_flagged(self):
-        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
+        variants, plan, _ = self._run(270.0)
         # 270 Hz puts the base shift at ~217 Mels, so +40 and +60 clamp
-        flagged = {s for m, s in zip(mats, plan.shifts_mel) if m.warp.clamped}
+        flagged = {s for (facts, _), s in zip(variants, plan.shifts_mel) if facts["clamped"]}
         assert flagged == {40.0, 60.0}
-        assert len(mats) == 7
+        assert len(variants) == 7
 
     def test_zero_shift_variant_matches_plain_normalized_extraction(self):
-        mats, plan, cfg = self._run(UtteranceF0(270.0, 40, False))
+        variants, plan, cfg = self._run(270.0)
         (plain,) = extract_features(_buffer(), cfg, compute_warp(270.0, 100.0))
         zero_index = plan.shifts_mel.index(0.0)
-        assert np.array_equal(mats[zero_index].values, plain)
+        assert np.array_equal(variants[zero_index][1], plain)
 
     def test_unnormalized_zero_shift_matches_baseline_extraction(self):
-        mats, plan, cfg = self._run(UtteranceF0(100.0, 0, False))
+        variants, plan, cfg = self._run(100.0)
         (plain,) = extract_features(_buffer(), cfg, compute_warp(100.0, 100.0))
-        zero_index = plan.shifts_mel.index(0.0)
-        assert np.array_equal(mats[zero_index].values, plain)
-        assert mats[zero_index].warp.delta_mel == 0.0
+        facts, values = variants[plan.shifts_mel.index(0.0)]
+        assert np.array_equal(values, plain)
+        assert facts["delta_mel"] == 0.0
 
     def test_unvoiced_fallback_gives_shift_only_deltas(self):
-        mats, plan, _ = self._run(UtteranceF0(100.0, 0, True))
-        for matrix, shift in zip(mats, plan.shifts_mel):
-            assert matrix.warp.delta_mel == pytest.approx(shift, abs=1e-9)
-            assert matrix.fallback_used
+        variants, plan, _ = self._run(100.0, fallback_used=True)
+        for (facts, _), shift in zip(variants, plan.shifts_mel):
+            assert facts["delta_mel"] == pytest.approx(shift, abs=1e-9)
+            assert facts["fallback_used"]
 
     def test_meta_records_warp_and_config(self):
-        mats, plan, _ = self._run(UtteranceF0(270.0, 40, False))
-        for matrix, f0_def in zip(mats, plan.f0_def_values):
-            assert matrix.warp == compute_warp(270.0, f0_def)
+        variants, plan, _ = self._run(270.0)
+        for (facts, _), f0_def in zip(variants, plan.f0_def_values):
+            warp = WarpSpec(facts["f0_utt"], facts["f0_def"], facts["delta_mel"],
+                            facts["clamped"])
+            assert warp == compute_warp(270.0, f0_def)
 
     def test_metadata_records_shift(self):
-        mats, plan, _ = self._run(UtteranceF0(200.0, 12, False))
-        assert [m.shift_mel for m in mats] == list(plan.shifts_mel)
+        variants, plan, _ = self._run(200.0)
+        assert [facts["shift_mel"] for facts, _ in variants] == list(plan.shifts_mel)
 
     def test_fan_out_for_unnormalized_mode(self):
-        mats, plan, _ = self._run(UtteranceF0(100.0, 0, False))
-        assert len(mats) == 7
-        for matrix, shift in zip(mats, plan.shifts_mel):
-            assert matrix.warp.f0_utt == 100.0
-            assert matrix.warp.delta_mel == pytest.approx(shift, abs=1e-9)
-            assert not matrix.fallback_used
+        variants, plan, _ = self._run(100.0)
+        assert len(variants) == 7
+        for (facts, _), shift in zip(variants, plan.shifts_mel):
+            assert facts["f0_utt"] == 100.0
+            assert facts["delta_mel"] == pytest.approx(shift, abs=1e-9)
+            assert not facts["fallback_used"]

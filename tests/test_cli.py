@@ -154,6 +154,8 @@ def test_single_utterance_commands_match_batch(tmp_path, capsys, kind, normalize
     out = tmp_path / "a.mwf"
     assert main(["extract", "--in", str(wav), "--out", str(out)] + flags) == EXIT_OK
     single = _last_json(capsys)
+    assert list(single) == ["out", "feature_kind", "hi_freq", "f0_utt", "f0_def", "delta_mel",
+                            "clamped", "fallback_used", "frames", "dims"]
     assert single["feature_kind"] == kind
 
     manifest = tmp_path / "m.jsonl"
@@ -230,6 +232,12 @@ UNUSABLE_SETTINGS = [
      ("process",)),
     ("--augment-shifts", "0,nan", "--augment-shifts must be finite: (0.0, nan)",
      ("process",)),
+    ("--augment-shifts", "0,-1000000",
+     "--augment-shifts -1e+06 gives --f0-def 100 Hz a target f0 too high to be a finite"
+     " number", ("process",)),
+    # Without --normalize every warp is known, so an empty filter is too.
+    ("--num-filters", "200", "--num-filters 200 at --dft-size 512: warp 0 filter rows",
+     ("process", "extract")),
     ("--augment-shifts", "0,200",
      "--augment-shifts 200 must be below 150.5 Mel, the Mel value of --f0-def 100 Hz,"
      " for a positive target f0", ("process",)),

@@ -96,6 +96,15 @@ class TestComputeWarp:
         with pytest.raises(DomainError):
             compute_warp(u, d)
 
+    @pytest.mark.parametrize("f0", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, f0):
+        # A nan would reach the filterbank as a nan shift, an inf a clamped one.
+        for u, d in ((f0, 100.0), (100.0, f0)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                compute_warp(u, d)
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            identity_warp(f0)
+
 
 class TestWarpBinMels:
     def test_zero_shift_is_plain_mel(self):
