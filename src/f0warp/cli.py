@@ -84,7 +84,9 @@ PITCH_FLAGS = (
     ("--voicing-threshold", "voicing_threshold",
      "periodicity needed to call a frame voiced"),
     ("--pitch-window", "window", "pitch analysis window in seconds"),
-    ("--pitch-shift", "shift", "pitch frame shift in seconds"),
+    ("--pitch-shift", "shift",
+     "pitch frame shift in seconds; only the median reaches the archive,"
+     " so the default is 20 ms, and 0.01 gives a 10 ms contour"),
 )
 # (flag, make_plan argument) of the plan's flags.
 F0_DEF_FLAG = (("--f0-def", "base_f0_def"),)

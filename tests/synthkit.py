@@ -7,7 +7,9 @@ recursion over the samples, so synthesis needs numpy alone.
 ``shift_vowel_for_f0`` re-places the formants of a reference vowel for a
 new pitch so that every formant keeps its Mel-domain distance to f0, which
 is the placement rule the warp-based normalization in
-:mod:`f0warp.melwarp` is built to exploit.  ``write_wav`` writes a buffer
+:mod:`f0warp.melwarp` is built to exploit.  ``synth_contour`` is a
+harmonic sum whose f0 moves (declination plus intonation), returned with
+its true f0 at every sample.  ``write_wav`` writes a buffer
 as the 16-bit PCM that :func:`f0warp.audio_io.read_wav` reads.
 """
 
@@ -75,6 +77,36 @@ def synth_harmonic(f0: float, duration: float, amplitude: float = 0.9) -> AudioB
         raise DomainError("amplitude must be in [0, 1]")
     x = _peak_normalize(_harmonic_sum(f0, n), amplitude)
     return AudioBuffer(x, source_id=f"harmonic-{f0:g}hz")
+
+
+def synth_contour(f0_mid: float, duration: float, declination: float = 0.0,
+                  intonation: float = 0.0, rate: float = 1.0, phase: float = 0.0,
+                  amplitude: float = 0.9) -> tuple:
+    """Harmonic sum whose f0 moves, and its f0 in Hz at every sample.
+
+    In semitones about ``f0_mid``, the f0 falls linearly by
+    ``declination`` across the utterance (from ``+declination / 2`` to
+    ``-declination / 2``) plus a sinusoid at ``rate`` Hz and ``phase``
+    radians that spans ``intonation`` semitones peak to peak.  Each
+    equal-amplitude harmonic's phase is the running sum of its frequency,
+    so the pitch glides without phase jumps; the harmonics are those that
+    stay below Nyquist at the contour's highest f0.
+    """
+    n = whole_samples("duration", duration)
+    if f0_mid <= 0 or not 0 <= amplitude <= 1:
+        raise DomainError("f0_mid must be positive and amplitude in [0, 1]")
+    t = np.arange(n) / REQUIRED_SAMPLE_RATE
+    semitones = (declination * (0.5 - t / duration)
+                 + 0.5 * intonation * np.sin(2.0 * np.pi * rate * t + phase))
+    f0 = f0_mid * 2.0 ** (semitones / 12.0)
+    if not f0.max() < REQUIRED_SAMPLE_RATE / 2:
+        raise DomainError("the contour must stay below Nyquist")
+    cycle = 2.0 * np.pi * np.cumsum(f0) / REQUIRED_SAMPLE_RATE
+    x = np.zeros(n)
+    for k in range(1, int((REQUIRED_SAMPLE_RATE / 2 - 1e-9) // f0.max()) + 1):
+        x += np.cos(k * cycle)
+    buffer = AudioBuffer(_peak_normalize(x, amplitude), source_id=f"contour-{f0_mid:g}hz")
+    return buffer, f0
 
 
 def resonator_coefficients(formants, bandwidths):

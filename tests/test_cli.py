@@ -127,7 +127,7 @@ CONFIG_FLAG_CASES = [
     ("--f0-max", PitchConfig, "f0_max", 400.0),
     ("--voicing-threshold", PitchConfig, "voicing_threshold", 0.4),
     ("--pitch-window", PitchConfig, "window", 0.05),
-    ("--pitch-shift", PitchConfig, "shift", 0.02),
+    ("--pitch-shift", PitchConfig, "shift", 0.01),
 ]
 
 
@@ -333,7 +333,7 @@ def test_synthesis_out_of_memory_is_a_clean_failure(tmp_path, capsys, monkeypatc
 
 def test_pitch_outputs_csv_and_summary(tmp_path, wav, capsys):
     csv_path = tmp_path / "frames.csv"
-    code = main(["pitch", "--in", str(wav), "--csv", str(csv_path)])
+    code = main(["pitch", "--in", str(wav), "--csv", str(csv_path), "--pitch-shift", "0.01"])
     assert code == EXIT_OK
     summary = _last_json(capsys)
     assert summary["voiced_count"] > 90
@@ -372,26 +372,37 @@ PITCH_GOLDEN_SUMMARY = (
     '{"source_id": "vowel", "frames": 22, "voiced_count": 20, '
     '"f0_utt": 160.00855789500528, "fallback_used": false}\n'
 )
+# At the default 20 ms hop: the 10 ms golden's even-numbered rows.
+PITCH_HEADER, *PITCH_ROWS = PITCH_GOLDEN_CSV.splitlines(keepends=True)
+PITCH_DEFAULT_CSV = PITCH_HEADER + "".join(PITCH_ROWS[::2])
+PITCH_DEFAULT_SUMMARY = (
+    '{"source_id": "vowel", "frames": 11, "voiced_count": 10, '
+    '"f0_utt": 160.00756374871588, "fallback_used": false}\n'
+)
 
 
 def test_pitch_csv_and_summary_are_golden(tmp_path, capsys):
     # A 0.2 s vowel at 160 Hz, then 50 ms of digital silence: voiced and
     # unvoiced rows.  Both outputs are pinned byte for byte, to files and
-    # to stdout/stderr.
+    # to stdout/stderr, for the 10 ms contour and at the default hop.
     spec = VowelSpec(f0=160.0, formants=(500.0, 1500.0, 2500.0),
                      bandwidths=(60.0, 90.0, 150.0), duration=0.2)
     wav_path = tmp_path / "vowel.wav"
     samples = np.concatenate([synth_vowel(spec).samples, np.zeros(800)])
     write_wav(wav_path, AudioBuffer(samples))
     csv_path, summary_path = tmp_path / "f.csv", tmp_path / "s.json"
-    assert main(["pitch", "--in", str(wav_path), "--csv", str(csv_path),
-                 "--summary", str(summary_path)]) == EXIT_OK
-    assert csv_path.read_bytes() == PITCH_GOLDEN_CSV.encode()
-    assert summary_path.read_bytes() == PITCH_GOLDEN_SUMMARY.encode()
-    capsys.readouterr()
-    assert main(["pitch", "--in", str(wav_path)]) == EXIT_OK
-    out, err = capsys.readouterr()
-    assert (out, err) == (PITCH_GOLDEN_CSV, PITCH_GOLDEN_SUMMARY)
+    for flags, csv, summary in [
+        (["--pitch-shift", "0.01"], PITCH_GOLDEN_CSV, PITCH_GOLDEN_SUMMARY),
+        ([], PITCH_DEFAULT_CSV, PITCH_DEFAULT_SUMMARY),
+    ]:
+        assert main(["pitch", "--in", str(wav_path), "--csv", str(csv_path),
+                     "--summary", str(summary_path), *flags]) == EXIT_OK
+        assert csv_path.read_bytes() == csv.encode()
+        assert summary_path.read_bytes() == summary.encode()
+        capsys.readouterr()
+        assert main(["pitch", "--in", str(wav_path), *flags]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert (out, err) == (csv, summary)
 
 
 def test_pitch_on_silence_reports_fallback(tmp_path, capsys):

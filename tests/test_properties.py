@@ -13,6 +13,7 @@ from f0warp import (
     AudioBuffer,
     FeatureConfig,
     ManifestEntry,
+    PitchConfig,
     WarpSpec,
     build_filterbank,
     compute_warp,
@@ -297,6 +298,38 @@ def test_block_picker_matches_scalar_picker(block):
         assert lags[t] == lag
         assert refined[t] == _parabolic_minimum_loop(row, lag)
         assert periodicity[t] == min(max(1.0 - row[lag], 0.0), 1.0)
+
+
+@st.composite
+def stretches(draw):
+    """1-4 stretches end to end, each a harmonic tone, digital silence, a
+    DC offset or white noise, trimmed to an odd or even number of 10 ms
+    pitch frames."""
+    rng = np.random.default_rng(draw(seeds))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["tone", "silence", "dc", "noise"]),
+                              min_size=1, max_size=4)):
+        n = draw(st.integers(800, 8000))
+        if kind == "tone":
+            parts.append(synth_harmonic(draw(st.floats(60.0, 450.0)), n / SR).samples)
+        elif kind == "noise":
+            parts.append(0.3 * rng.standard_normal(n))
+        else:
+            parts.append(np.full(n, 0.0 if kind == "silence" else draw(st.floats(-0.5, 0.5))))
+    x = np.concatenate(parts)
+    win, hop = 640, 160
+    if (1 + (x.shape[0] - win) // hop) % 2 != draw(st.integers(0, 1)):
+        x = x[:-hop]
+    return AudioBuffer(x)
+
+
+@few
+@given(stretches())
+def test_default_track_is_the_10ms_tracks_even_frames(buffer):
+    """Every kernel row is computed on its own, so the default 20 ms track
+    is exactly frames 0, 2, 4, ... of the 10 ms one, times included."""
+    fine = detect_pitch(buffer, PitchConfig(shift=0.010)).frames
+    assert detect_pitch(buffer).frames == fine[::2]
 
 
 PB_VOWELS = {

@@ -17,6 +17,7 @@ from tests.synthkit import (
     resonator_cascade,
     resonator_coefficients,
     shift_vowel_for_f0,
+    synth_contour,
     synth_harmonic,
     synth_vowel,
 )
@@ -61,6 +62,33 @@ class TestSynthHarmonic:
         a = synth_harmonic(93.0, 0.3)
         b = synth_harmonic(93.0, 0.3)
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestSynthContour:
+    def test_contour_spans_declination_and_intonation(self):
+        buf, f0 = synth_contour(200.0, 2.0, declination=3.0, intonation=2.0, rate=1.0)
+        assert len(buf) == f0.shape[0] == 32000
+        semitones = 12.0 * np.log2(f0 / 200.0)
+        assert semitones[0] == pytest.approx(1.5)
+        assert semitones.max() <= 2.5 and semitones.min() >= -2.5
+        assert np.max(np.abs(buf.samples)) == pytest.approx(0.9)
+
+    def test_flat_contour_tracks_its_f0(self):
+        buf, f0 = synth_contour(180.0, 1.0)
+        assert np.all(f0 == 180.0)
+        uf = median_f0(detect_pitch(buf), 100.0)
+        assert abs(1200.0 * np.log2(uf.f0_utt / 180.0)) <= 5.0
+
+    def test_falling_contour_reads_falling(self):
+        buf, _ = synth_contour(200.0, 1.0, declination=6.0)
+        voiced = [f.f0 for f in detect_pitch(buf).frames if f.f0 is not None]
+        assert voiced[0] > 1.15 * voiced[-1]
+
+    @pytest.mark.parametrize("kwargs", [{"f0_mid": 0.0}, {"f0_mid": 7900.0, "intonation": 4.0},
+                                        {"f0_mid": 100.0, "amplitude": 1.5}])
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            synth_contour(duration=0.5, **kwargs)
 
 
 class TestSynthVowel:
