@@ -1,9 +1,9 @@
 """Command-line entry point: one executable, one subcommand per task.
 
 Exit codes: 0 when all went well; 1 when a file or an input failed or
-memory ran out; 2 when ``process`` failed some utterances but not all of the
-batch; 64 when a flag value cannot work, reported before any WAV is opened
-or any output made.
+memory ran out; 2 when ``process`` failed one or more utterances, listed in
+``report.jsonl``; 64 when a flag value cannot work, reported before any WAV
+is opened or any output made.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ def cmd_process(args) -> int:
         plan=plan,
         normalize=args.normalize,
         pitch_cfg=pitch_cfg,
-        strict=args.strict,
         workers=args.workers,
     )
     _emit(
@@ -225,7 +224,7 @@ def cmd_process(args) -> int:
             "failures": len(result.failures),
         }
     )
-    return EXIT_OK if result.fully_succeeded else EXIT_PARTIAL
+    return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
 def cmd_export_ark(args) -> int:
@@ -284,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated Mel shifts, e.g. 0,20,-20,40,-40,60,-60"
                         " (default: 0, meaning no fan-out)")
     _add_f0_def(p, "base target f0 in Hz")
-    p.add_argument("--strict", action="store_true",
-                   help="abort on the first failed utterance")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="worker threads (default: cpu count, at most 8)")
     _add_feature_flags(p)

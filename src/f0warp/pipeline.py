@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .audio_io import AudioBuffer, read_wav
-from .augment import AugmentationPlan, augment_utterance, make_plan, shift_text
+from .augment import AugmentationPlan, augment_utterance, shift_text
 from .melwarp import FeatureConfig, filterbank_ceiling
 from .pitch import PitchConfig, detect_pitch, median_f0
 
@@ -133,19 +133,14 @@ class BatchResult:
     failures: list
     out_dir: Path
 
-    @property
-    def fully_succeeded(self) -> bool:
-        return not self.failures
-
 
 def process_dataset(
     entries,
     out_dir,
-    cfg: FeatureConfig | None = None,
-    plan: AugmentationPlan | None = None,
+    cfg: FeatureConfig,
+    plan: AugmentationPlan,
     normalize: bool = False,
     pitch_cfg: PitchConfig | None = None,
-    strict: bool = False,
     workers: Optional[int] = None,
 ) -> BatchResult:
     """Extract every (utterance, plan entry) variant into an archive dir.
@@ -158,18 +153,14 @@ def process_dataset(
     archives for any worker count; its lines, ``{"id", **facts, "path"}``
     with each variant's facts from :func:`utterance_variants`, are the
     result's ``records``.
-    Failures abort the batch in strict mode; otherwise they land in
-    ``report.jsonl`` and processing continues.
+    An utterance that fails lands in ``report.jsonl`` as its id, exception
+    class name and message, and the batch goes on.
 
-    Without ``cfg`` the filterbank ceiling is :func:`filterbank_ceiling`'s
-    default for ``normalize`` and the plan; a given ``cfg`` whose ceiling
-    it rejects raises DomainError before any audio is read.
+    Callers build ``cfg`` with :func:`filterbank_ceiling` for ``normalize``
+    and the plan's shifts; a ``cfg`` whose ceiling it rejects raises
+    DomainError before any audio is read.
     """
-    plan = plan if plan is not None else make_plan(shifts_mel=(0.0,))
-    hi_freq = filterbank_ceiling(
-        cfg.hi_freq if cfg is not None else None, normalize, plan.shifts_mel
-    )
-    cfg = cfg if cfg is not None else FeatureConfig(hi_freq=hi_freq)
+    filterbank_ceiling(cfg.hi_freq, normalize, plan.shifts_mel)
     pitch_cfg = pitch_cfg if pitch_cfg is not None else PitchConfig()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,9 +191,6 @@ def process_dataset(
                 try:
                     records.extend(future.result())
                 except Exception as exc:
-                    if strict:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
                     failures.append(
                         {"id": entry.id, "error": type(exc).__name__, "message": str(exc)}
                     )

@@ -524,14 +524,32 @@ def test_process_rejects_nonpositive_workers(tmp_path, capsys, workers):
 
 
 def test_process_partial_failure_exits_2(tmp_path, capsys):
+    # A failed utterance never stops the batch: the archive is whole (every
+    # matrix file is indexed, so export-ark can read it), the failure is in
+    # report.jsonl, and the exit code is 2 even when nothing succeeded.
     entries = make_wav_dataset(tmp_path, (95.0,))
     entries.append({"id": "ghost", "audio": str(tmp_path / "ghost.wav")})
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, entries)
-    code = main(["process", "--manifest", str(manifest),
-                 "--out", str(tmp_path / "arch")])
+    arch = tmp_path / "arch"
+    code = main(["process", "--manifest", str(manifest), "--out", str(arch),
+                 "--augment-shifts", "0,20,-20"])
     assert code == EXIT_PARTIAL
     assert _last_json(capsys)["failures"] == 1
+    index = read_archive_index(arch)
+    assert [(r["id"], r["shift_mel"]) for r in index] == [
+        ("utt00", -20.0), ("utt00", 0.0), ("utt00", 20.0)]
+    assert sorted(p.name for p in arch.glob("*.mwf")) == sorted(r["path"] for r in index)
+    (failure,) = [json.loads(line) for line in (arch / "report.jsonl").read_text().splitlines()]
+    assert (failure["id"], failure["error"]) == ("ghost", "FileNotFoundError")
+
+    write_manifest(manifest, [{"id": name, "audio": str(tmp_path / f"{name}.wav")}
+                              for name in ("ghost", "phantom")])
+    arch = tmp_path / "none"
+    assert main(["process", "--manifest", str(manifest), "--out", str(arch)]) == EXIT_PARTIAL
+    assert (arch / "index.jsonl").read_text() == ""
+    report = [json.loads(line) for line in (arch / "report.jsonl").read_text().splitlines()]
+    assert [f["id"] for f in report] == ["ghost", "phantom"]
 
 
 def test_export_ark_and_inspect(tmp_path, capsys):

@@ -20,8 +20,7 @@ from f0warp import (
     write_matrix,
 )
 from f0warp import pipeline
-from f0warp.cli import EXIT_OK, main
-from f0warp.melwarp import BASELINE_HI_FREQ, WARPED_HI_FREQ
+from f0warp.melwarp import WARPED_HI_FREQ
 from f0warp.pipeline import ManifestEntry, MatrixFormatError, variant_key
 from tests.conftest import (
     archive_contents,
@@ -256,35 +255,6 @@ class TestProcessDataset:
         assert [(json.loads(line)["id"], json.loads(line)["error"])
                 for line in report] == expected
 
-    def test_strict_mode_raises(self, tmp_path):
-        entries, cfg, plan = self._setup(tmp_path)
-        entries = entries + [
-            type(entries[0])(id="missing", audio_path=str(tmp_path / "nope.wav"))
-        ]
-        with pytest.raises(Exception):
-            process_dataset(
-                entries, tmp_path / "arch", cfg, plan, normalize=True, strict=True
-            )
-
-    def test_default_config_takes_the_warped_ceiling(self, tmp_path):
-        # Without a config the library picks the ceiling the CLI's defaults
-        # pick, for every (normalize, shifts) pair.  Normalizing warps from
-        # the detected f0, so the default ceiling must leave room for the
-        # shift: a 300 Hz voice needs +269 Mels, which an 8 kHz top filter
-        # cannot take.
-        entries, _, _ = self._setup(tmp_path, f0s=(300.0, 120.0))
-        pairs = [(False, (0.0,)), (True, (0.0,)), (False, (0.0, 20.0)), (True, (0.0, 20.0))]
-        for i, (normalize, shifts) in enumerate(pairs):
-            lib, cli = tmp_path / f"lib{i}", tmp_path / f"cli{i}"
-            result = process_dataset(entries, lib, plan=make_plan(shifts_mel=shifts),
-                                     normalize=normalize)
-            assert not result.failures, (normalize, shifts)
-            assert len(result.records) == 2 * len(shifts)
-            args = ["process", "--manifest", str(tmp_path / "m.jsonl"), "--out", str(cli),
-                    "--augment-shifts", ",".join(f"{s:g}" for s in shifts)]
-            assert main(args + (["--normalize"] if normalize else [])) == EXIT_OK
-            assert archive_contents(lib) == archive_contents(cli), (normalize, shifts)
-
     @pytest.mark.parametrize(
         "normalize, shifts", [(True, (0.0,)), (False, (0.0, 20.0))]
     )
@@ -298,13 +268,6 @@ class TestProcessDataset:
                 make_plan(100.0, shifts), normalize=normalize,
             )
         assert not (tmp_path / "arch").exists()
-
-    def test_unwarped_default_keeps_the_baseline_ceiling(self, tmp_path):
-        entries, _, _ = self._setup(tmp_path, f0s=(120.0,))
-        process_dataset(entries, tmp_path / "lib")
-        plain = FeatureConfig(hi_freq=BASELINE_HI_FREQ)
-        process_dataset(entries, tmp_path / "plain", plain)
-        assert archive_contents(tmp_path / "lib") == archive_contents(tmp_path / "plain")
 
     def test_empty_manifest(self, tmp_path):
         cfg = FeatureConfig()
