@@ -55,18 +55,19 @@ def next_fast_len(n):
     return best
 
 
-def cumulative_mean_difference(frames, tau_max, span):
+def cumulative_mean_difference(frames, tau_max):
     """Cumulative-mean-normalized difference function, one row per frame.
 
     ``d[t, tau] = sum_j (x[t, j] - x[t, j + tau])**2`` over ``j < span``,
-    each lag normalized by the running mean of ``d`` over lags ``1..tau``.
-    Lag 0 is fixed at 1.  A frame that is silent (or constant) up to some
-    lag keeps the neutral value 1 there.  ``frames`` needs at least
-    ``span + tau_max`` columns; it may be a strided view.
+    where ``span`` is the frames' width less ``tau_max``, each lag
+    normalized by the running mean of ``d`` over lags ``1..tau``.  Lag 0 is
+    fixed at 1.  A frame that is silent (or constant) up to some lag keeps
+    the neutral value 1 there.  ``frames`` may be a strided view.
     """
-    width = span + tau_max
-    frames = np.asarray(frames, dtype=np.float64)[:, :width]
+    frames = np.asarray(frames, dtype=np.float64)
     frames = frames - frames[:, :1]
+    width = frames.shape[1]
+    span = width - tau_max
     n_fft = next_fast_len(width)
 
     # For j < span and tau <= tau_max, j + tau < width <= n_fft: the

@@ -242,7 +242,6 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
         raise TooShort(
             f"buffer has {x.shape[0]} samples, needs {win} for one pitch window"
         )
-    span = win - tau_max
 
     banded = _band_limit(x, cfg.f0_max)
     windows = np.lib.stride_tricks.sliding_window_view(banded, win)[::hop]
@@ -252,7 +251,7 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
     periodicity = np.empty(n_frames)
     for start in range(0, n_frames, KERNEL_BLOCK):
         block = slice(start, start + KERNEL_BLOCK)
-        dprime = _kernels.cumulative_mean_difference(windows[block], tau_max, span)
+        dprime = _kernels.cumulative_mean_difference(windows[block], tau_max)
         _, refined[block], periodicity[block] = _pick_lags(dprime, tau_min, tau_max)
         # A frame whose samples are all equal (digital silence, a DC
         # stretch) has no period.  Band-limited, it holds only rounding

@@ -254,7 +254,7 @@ def test_kernel_matches_loop_definition(
     frames = np.random.default_rng(seed).standard_normal((n_frames, span + tau_max))
     frames[:, :stretch] = level
     frames *= scale
-    fast = _kernels.cumulative_mean_difference(frames, tau_max, span)
+    fast = _kernels.cumulative_mean_difference(frames, tau_max)
     slow = _cumulative_mean_difference_loop(frames, tau_max, span)
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
