@@ -13,6 +13,7 @@ blocks (see ``_band_limit``), so tracking needs nothing beyond numpy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,20 +274,29 @@ def detect_pitch(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTr
 
 
 def median_f0(track: PitchTrack, default_f0: float) -> UtteranceF0:
-    """Median over voiced frames; the configured default when none exist.
+    """Octave-trimmed median over voiced frames; the configured default
+    when none exist.
 
-    Even-count median takes the lower-middle element so the result always
-    equals an observed frame value.  The fallback keeps the downstream
-    warp shift at zero for fully unvoiced utterances, so it must be a
-    positive, finite pitch.
+    The median of all voiced frames is taken first; the result is the
+    median of the voiced frames within 600 cents (half an octave) of it.
+    Frames locked an octave or more off the voice, a minority, then drop
+    out instead of dragging the median of a moving f0 along its contour.
+    Even-count medians take the lower-middle element so the result always
+    equals an observed frame value.  ``voiced_count`` counts every voiced
+    frame.  The fallback keeps the downstream warp shift at zero for fully
+    unvoiced utterances, so it must be a positive, finite pitch.
     """
     if not 0 < default_f0 < math.inf:
         raise DomainError("default_f0 must be positive and finite")
     voiced = sorted(f.f0 for f in track.frames if f.f0 is not None)
     if not voiced:
         return UtteranceF0(f0_utt=float(default_f0), voiced_count=0, fallback_used=True)
+    middle = voiced[(len(voiced) - 1) // 2]
+    half_octave = math.sqrt(2.0)
+    kept = voiced[bisect_left(voiced, middle / half_octave):
+                  bisect_right(voiced, middle * half_octave)]
     return UtteranceF0(
-        f0_utt=float(voiced[(len(voiced) - 1) // 2]),
+        f0_utt=float(kept[(len(kept) - 1) // 2]),
         voiced_count=len(voiced),
         fallback_used=False,
     )

@@ -333,6 +333,23 @@ class TestMedianF0:
         assert uf.f0_utt == 130.0
         assert uf.voiced_count == 3
 
+    @pytest.mark.parametrize("share", [0.1, 0.25, 0.4])
+    def test_octave_low_frames_leave_the_contour_median(self, share):
+        # A contour spanning under 600 cents, plus up to ``share`` of all
+        # frames at a half or a third of its f0: the low frames are trimmed,
+        # so the median is the contour's own lower median.
+        rng = np.random.default_rng(16)
+        for f0_mid in (95.0, 210.0, 430.0):
+            _, f0 = synth_contour(f0_mid, 2.0, declination=2.5, intonation=3.0, rate=1.5)
+            contour = f0[160::320].tolist()
+            n_low = int(share * len(contour) / (1 - share))
+            low = rng.choice(contour, n_low) / rng.choice([2.0, 3.0], n_low)
+            frames = contour + low.tolist()
+            rng.shuffle(frames)
+            uf = median_f0(self._track(frames), 100.0)
+            assert uf.f0_utt == sorted(contour)[(len(contour) - 1) // 2], f0_mid
+            assert uf.voiced_count == len(frames)
+
 
 class TestPitchConfig:
     @pytest.mark.parametrize(
