@@ -13,10 +13,11 @@ import json
 import re
 import sys
 
-from .audio_io import AudioIOError, read_wav
+from .audio_io import REQUIRED_SAMPLE_RATE, AudioIOError, read_wav
 from .augment import DEFAULT_BASE_F0_DEF, make_plan
 from .melwarp import (
     BASELINE_HI_FREQ,
+    DFT_SIZE,
     LOG_MEL,
     MFCC,
     WARPED_HI_FREQ,
@@ -35,7 +36,7 @@ from .pipeline import (
     utterance_variants,
     write_matrix,
 )
-from .pitch import PitchConfig, detect_pitch, median_f0
+from .pitch import PITCH_WINDOW, PitchConfig, detect_pitch, median_f0
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -69,9 +70,9 @@ def _float_list(text: str) -> tuple:
 # (flag, config field, help) of each option that sets one config field; the
 # type and the default come from the config class itself.
 FEATURE_FLAGS = (
-    ("--window", "window", "analysis window in seconds"),
+    ("--window", "window",
+     f"analysis window in seconds, at most the DFT's {DFT_SIZE / REQUIRED_SAMPLE_RATE:g}"),
     ("--hop", "hop", "frame shift in seconds"),
-    ("--dft-size", "dft_size", "DFT length"),
     ("--num-filters", "num_filters", "number of Mel filters"),
     ("--lo-freq", "lo_freq", "filterbank floor in Hz"),
     ("--num-ceps", "num_ceps", "cepstral coefficients to keep"),
@@ -79,11 +80,11 @@ FEATURE_FLAGS = (
     ("--log-floor", "log_floor", "energy floor before the log"),
 )
 PITCH_FLAGS = (
-    ("--f0-min", "f0_min", "lowest f0 searched in Hz"),
+    ("--f0-min", "f0_min", "lowest f0 searched in Hz, at least"
+     f" {1 / (PITCH_WINDOW - 2 / REQUIRED_SAMPLE_RATE):.4g} for the {PITCH_WINDOW:g} s window"),
     ("--f0-max", "f0_max", "highest f0 searched in Hz"),
     ("--voicing-threshold", "voicing_threshold",
      "periodicity needed to call a frame voiced"),
-    ("--pitch-window", "window", "pitch analysis window in seconds"),
     ("--pitch-shift", "shift",
      "pitch frame shift in seconds; only the median reaches the archive,"
      " so the default is 20 ms, and 0.01 gives a 10 ms contour"),
@@ -145,10 +146,9 @@ def _settings(args, plan_flags, **plan_fields):
     if not args.normalize:
         warps = [compute_warp(plan.base_f0_def, f0_def) for f0_def in plan.f0_def_values]
         try:
-            build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
+            build_filterbank(cfg, warp_bin_mels(*warps))
         except EmptyFilter as exc:
-            raise UsageError(f"--num-filters {cfg.num_filters} at --dft-size"
-                             f" {cfg.dft_size}: {exc}") from None
+            raise UsageError(f"--num-filters {cfg.num_filters}: {exc}") from None
     return plan, cfg, _config(PitchConfig, PITCH_FLAGS, args)
 
 
@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default: 0, meaning no fan-out)")
     _add_f0_def(p, "base target f0 in Hz")
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker threads (default: cpu count, at most 8)")
+                   help="worker threads (default: cpu count, at most 8); with"
+                        " more than one, set OPENBLAS_NUM_THREADS=1")
     _add_feature_flags(p)
     _add_config_flags(p, "pitch options", PitchConfig(), PITCH_FLAGS)
     p.set_defaults(func=cmd_process)

@@ -32,8 +32,10 @@ BASELINE_HI_FREQ = 8000.0
 WARPED_HI_FREQ = 6200.0
 MAX_ABS_SHIFT_MEL = 250.0
 
+# Every frame is zero-padded to one DFT length: 32 ms, the longest window.
+DFT_SIZE = 512
 # Frames per rFFT call in power_spectrum: bounds the complex spectrum held
-# at once to SPECTRUM_BLOCK x (dft_size/2 + 1) values.
+# at once to SPECTRUM_BLOCK x (DFT_SIZE/2 + 1) values.
 SPECTRUM_BLOCK = 256
 
 LOG_MEL = "log-mel"
@@ -99,16 +101,16 @@ def compute_warp(f0_utt: float, f0_def: float) -> WarpSpec:
     return WarpSpec(float(f0_utt), float(f0_def), float(delta), clamped)
 
 
-def warp_bin_mels(dft_size: int, *warps: WarpSpec) -> np.ndarray:
-    """Warped Mel coordinates of DFT bins 0..dft_size/2, one row per warp.
+def warp_bin_mels(*warps: WarpSpec) -> np.ndarray:
+    """Warped Mel coordinates of DFT bins 0..DFT_SIZE/2, one row per warp.
 
-    Bin k of row w sits at ``hz_to_mel(k * REQUIRED_SAMPLE_RATE / dft_size) -
+    Bin k of row w sits at ``hz_to_mel(k * REQUIRED_SAMPLE_RATE / DFT_SIZE) -
     warps[w].delta_mel``; the shift is constant so each row stays strictly
     increasing.  This is the (warps x bins) stack :func:`build_filterbank`
     expects.  The mirror image of bin k below 0 Hz sits at
     ``-hz_to_mel(f_k) - delta_mel``, which is ``2 * row[0] - row[k]``.
     """
-    freqs = np.arange(dft_size // 2 + 1) * (REQUIRED_SAMPLE_RATE / dft_size)
+    freqs = np.arange(DFT_SIZE // 2 + 1) * (REQUIRED_SAMPLE_RATE / DFT_SIZE)
     deltas = np.array([warp.delta_mel for warp in warps])
     return hz_to_mel(freqs) - deltas[:, None]
 
@@ -116,13 +118,12 @@ def warp_bin_mels(dft_size: int, *warps: WarpSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class FeatureConfig:
     """Extraction parameters, checked when built against the fixed 16 kHz
-    rate.  ``hi_freq`` defaults to the 8 kHz baseline ceiling; a warped
-    extraction needs a lower one (see :func:`filterbank_ceiling`).
+    rate and DFT_SIZE.  ``hi_freq`` defaults to the 8 kHz baseline ceiling;
+    a warped extraction needs a lower one (see :func:`filterbank_ceiling`).
     """
 
     window: float = 0.025
     hop: float = 0.010
-    dft_size: int = 512
     num_filters: int = 23
     lo_freq: float = 20.0
     hi_freq: float = BASELINE_HI_FREQ
@@ -141,8 +142,6 @@ class FeatureConfig:
             raise ValueError("num_filters must be >= 1")
         if not 1 <= self.num_ceps <= self.num_filters:
             raise ValueError("need 1 <= num_ceps <= num_filters")
-        if self.dft_size < 2:
-            raise ValueError("dft_size must be >= 2")
         if not 0 <= self.preemphasis < 1:
             raise ValueError("preemphasis must be in [0, 1)")
         if self.log_floor <= 0:
@@ -155,11 +154,9 @@ class FeatureConfig:
                 f" {REQUIRED_SAMPLE_RATE} Hz audio"
             )
         window = self.in_samples()[0]
-        if self.dft_size < window:
-            raise ValueError(
-                f"dft_size {self.dft_size} is shorter than window {self.window:g} s"
-                f" ({window} samples)"
-            )
+        if window > DFT_SIZE:
+            raise ValueError(f"window {self.window:g} s ({window} samples) is longer than"
+                             f" the {DFT_SIZE}-point DFT")
 
     def in_samples(self) -> tuple:
         """(window, hop) in samples; DomainError for either under one."""
@@ -209,21 +206,21 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
     """Weights of ``cfg.num_filters`` triangles at each warp's bin
     coordinates, as a (warps x filters x bins) array.
 
-    ``bin_mels`` is the (warps x bins) stack of warped coordinates of DFT
-    bins 0..dft_size/2 that :func:`warp_bin_mels` returns for
-    ``cfg.dft_size``; slice ``[w]`` of the result equals the build from
-    row ``w`` alone, bit for bit.  Edges and centers are the num_filters +
-    2 points equally spaced in Mel over [hz_to_mel(lo_freq),
-    hz_to_mel(hi_freq)]; filter i rises over (point i, point i+1) and falls
-    over (point i+1, point i+2).  A bin outside a triangle gets weight 0.
+    ``bin_mels`` is a (warps x bins) stack of warped coordinates of bins
+    0..N/2 of an even N-point DFT, N = DFT_SIZE in :func:`warp_bin_mels`'s
+    stacks; slice ``[w]`` of the result equals the build from row ``w``
+    alone, bit for bit.  Edges and centers are the num_filters + 2 points
+    equally spaced in Mel over [hz_to_mel(lo_freq), hz_to_mel(hi_freq)];
+    filter i rises over (point i, point i+1) and falls over (point i+1,
+    point i+2).  A bin outside a triangle gets weight 0.
 
     A real signal's power spectrum is even, so the energy a shifted filter
-    would read below 0 Hz is that of bins 1..(dft_size-1)/2 mirrored about
-    0 Hz.  Each such bin's twin sits at ``2 * bin_mels[0] - bin_mels[k]``;
-    the triangles are evaluated there too and the weights are added onto
-    bin k (DC and, for an even dft_size, Nyquist have no twin).  The twins
-    lie below every filter, and so add exact zeros, for any shift at or
-    above ``-(hz_to_mel(lo_freq) + hz_to_mel(REQUIRED_SAMPLE_RATE / dft_size))``
+    would read below 0 Hz is that of bins 1..N/2-1 mirrored about 0 Hz (DC
+    and Nyquist have no twin).  Each such bin's twin sits at
+    ``2 * bin_mels[0] - bin_mels[k]``; the triangles are evaluated there too
+    and the weights are added onto bin k.  At DFT_SIZE the twins lie below
+    every filter, and so add exact zeros, for any shift at or above
+    ``-(hz_to_mel(lo_freq) + hz_to_mel(REQUIRED_SAMPLE_RATE / DFT_SIZE))``
     (about -81 Mels for the defaults); below that a folded weight may
     exceed 1.  Raises EmptyFilter when a row still ends up with no
     positive weight, naming each such warp and its rows.
@@ -233,16 +230,11 @@ def build_filterbank(cfg: FeatureConfig, bin_mels: np.ndarray) -> np.ndarray:
         raise ValueError(
             "bin coordinates must be a (warps x bins) stack of strictly ascending rows"
         )
-    if bin_mels.shape[-1] != cfg.dft_size // 2 + 1:
-        raise ValueError(
-            f"expected {cfg.dft_size // 2 + 1} bin coordinates (bins "
-            f"0..{cfg.dft_size // 2}), got {bin_mels.shape[-1]}"
-        )
     points = np.linspace(
         hz_to_mel(cfg.lo_freq), hz_to_mel(cfg.hi_freq), cfg.num_filters + 2
     )
     weights = _triangles(points, bin_mels)
-    twinned = slice(1, (cfg.dft_size + 1) // 2)
+    twinned = slice(1, bin_mels.shape[-1] - 1)
     weights[..., twinned] += _triangles(
         points, 2.0 * bin_mels[..., :1] - bin_mels[..., twinned]
     )
@@ -280,9 +272,9 @@ def frame_and_window(buffer: AudioBuffer, cfg: FeatureConfig) -> np.ndarray:
     return windows * np.hamming(win)
 
 
-def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
-    """Magnitude-squared DFT of each zero-padded row of a (frames x
-    samples) matrix, as a (frames x bins) matrix over bins 0..dft_size/2.
+def power_spectrum(frames: np.ndarray) -> np.ndarray:
+    """Power spectrum of each row of a (frames x samples) matrix, zero-padded
+    to DFT_SIZE points: a (frames x bins) matrix over bins 0..DFT_SIZE/2.
 
     The rFFT runs over SPECTRUM_BLOCK frames at a time, and each block's
     squares go straight into the one output array, so no whole-utterance
@@ -290,12 +282,12 @@ def power_spectrum(frames: np.ndarray, dft_size: int) -> np.ndarray:
     so the output does not depend on the block size, bit for bit.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] > dft_size:
-        raise ValueError("need a (frames x samples) matrix, frames no longer than dft_size")
-    out = np.empty((frames.shape[0], dft_size // 2 + 1))
+    if frames.ndim != 2 or frames.shape[1] > DFT_SIZE:
+        raise ValueError("need a (frames x samples) matrix, frames no longer than DFT_SIZE")
+    out = np.empty((frames.shape[0], DFT_SIZE // 2 + 1))
     for start in range(0, frames.shape[0], SPECTRUM_BLOCK):
         block = out[start:start + SPECTRUM_BLOCK]
-        spec = np.fft.rfft(frames[start:start + SPECTRUM_BLOCK], n=dft_size, axis=-1)
+        spec = np.fft.rfft(frames[start:start + SPECTRUM_BLOCK], n=DFT_SIZE, axis=-1)
         np.square(spec.real, out=block)
         block += np.square(spec.imag, out=spec.imag)
     return out
@@ -335,8 +327,8 @@ def extract_features(
     """
     cfg = cfg if cfg is not None else FeatureConfig()
     warps = warps or (identity_warp(),)
-    pspec = power_spectrum(frame_and_window(buffer, cfg), cfg.dft_size)
-    filterbanks = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
+    pspec = power_spectrum(frame_and_window(buffer, cfg))
+    filterbanks = build_filterbank(cfg, warp_bin_mels(*warps))
     dct = _dct_basis(cfg.num_filters, cfg.num_ceps) if cfg.feature_kind == MFCC else None
     out = []
     for weights in filterbanks:

@@ -22,6 +22,8 @@ from . import _kernels
 from .audio_io import REQUIRED_SAMPLE_RATE, AudioBuffer, whole_samples
 from .errors import DomainError, TooShort
 
+# Pitch frame length in seconds: 640 samples, so f0_min >= ~25.1 Hz.
+PITCH_WINDOW = 0.040
 # Absolute depth a normalized-difference dip must reach for first-dip
 # candidate selection; deeper than any subharmonic dip of real speech but
 # comfortably above the noise floor of a periodic frame.
@@ -32,7 +34,7 @@ DIP_THRESHOLD = 0.2
 DIP_TOLERANCE = 0.05
 # Frames per difference-kernel call: bounds the kernel's spectra and d'
 # rows whatever the utterance length.  Output does not depend on it.  At
-# the default 40 ms window and 50 Hz floor a call's temporaries peak near
+# the 40 ms window and default 50 Hz floor a call's temporaries peak near
 # 18 KiB per frame, about 1.1 MiB at 64 frames.  At 128 frames they
 # outgrew what glibc's malloc keeps after a short utterance's largest
 # array is freed, so every block's pages went back to the OS and were
@@ -67,7 +69,6 @@ class PitchConfig:
     f0_min: float = 50.0
     f0_max: float = 500.0
     voicing_threshold: float = 0.5
-    window: float = 0.040
     shift: float = 0.020
 
     def __post_init__(self):
@@ -85,14 +86,14 @@ class PitchConfig:
         for settings no 16 kHz audio can meet."""
         if self.f0_max >= REQUIRED_SAMPLE_RATE / 2:
             raise DomainError("f0_max must be below Nyquist")
-        win = int(round(self.window * REQUIRED_SAMPLE_RATE))
+        win = round(PITCH_WINDOW * REQUIRED_SAMPLE_RATE)
         hop = whole_samples("shift", self.shift)
         tau_min = max(2, int(REQUIRED_SAMPLE_RATE // self.f0_max))
         tau_max = int(math.ceil(REQUIRED_SAMPLE_RATE / self.f0_min))
         if tau_max + 2 > win:
             raise DomainError(
-                f"window {self.window:g} s is too short for f0_min {self.f0_min:g} Hz:"
-                f" it needs {tau_max + 2} samples"
+                f"f0_min {self.f0_min:g} Hz needs {tau_max + 2} samples, more than the"
+                f" {PITCH_WINDOW:g} s pitch window ({win} samples) holds"
             )
         return win, hop, tau_min, tau_max
 

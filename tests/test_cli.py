@@ -26,7 +26,7 @@ from f0warp.cli import (
     build_parser,
     main,
 )
-from tests.conftest import make_wav_dataset, write_manifest
+from tests.conftest import archive_contents, make_wav_dataset, write_manifest
 from tests.synthkit import VowelSpec, synth_harmonic, synth_vowel, write_wav
 
 TOP_LEVEL_HELP = """\
@@ -93,7 +93,6 @@ def test_flag_defaults_mirror_configs():
     expectations = {
         "window": feature_defaults.window,
         "hop": feature_defaults.hop,
-        "dft_size": feature_defaults.dft_size,
         "num_filters": feature_defaults.num_filters,
         "lo_freq": feature_defaults.lo_freq,
         "num_ceps": feature_defaults.num_ceps,
@@ -103,7 +102,6 @@ def test_flag_defaults_mirror_configs():
         "f0_min": pitch_defaults.f0_min,
         "f0_max": pitch_defaults.f0_max,
         "voicing_threshold": pitch_defaults.voicing_threshold,
-        "pitch_window": pitch_defaults.window,
         "pitch_shift": pitch_defaults.shift,
     }
     for dest, expected in expectations.items():
@@ -116,7 +114,6 @@ def test_flag_defaults_mirror_configs():
 CONFIG_FLAG_CASES = [
     ("--window", FeatureConfig, "window", 0.032),
     ("--hop", FeatureConfig, "hop", 0.02),
-    ("--dft-size", FeatureConfig, "dft_size", 1024),
     ("--num-filters", FeatureConfig, "num_filters", 30),
     ("--lo-freq", FeatureConfig, "lo_freq", 60.0),
     ("--num-ceps", FeatureConfig, "num_ceps", 20),
@@ -126,7 +123,6 @@ CONFIG_FLAG_CASES = [
     ("--f0-min", PitchConfig, "f0_min", 60.0),
     ("--f0-max", PitchConfig, "f0_max", 400.0),
     ("--voicing-threshold", PitchConfig, "voicing_threshold", 0.4),
-    ("--pitch-window", PitchConfig, "window", 0.05),
     ("--pitch-shift", PitchConfig, "shift", 0.01),
 ]
 
@@ -216,11 +212,12 @@ def test_process_reports_hop_under_one_sample(tmp_path, capsys):
 # the flag.
 UNUSABLE_SETTINGS = [
     ("--hi-freq", "9000", "--hi-freq 9000.0 Hz exceeds Nyquist", ("process", "extract")),
-    ("--window", "0.05", "--dft-size 512 is shorter than --window 0.05 s (800 samples)",
+    ("--window", "0.05", "--window 0.05 s (800 samples) is longer than the 512-point DFT",
      ("process", "extract")),
     ("--hop", "0.00001", "--hop of 1e-05 s is under one sample", ("process", "extract")),
     ("--f0-max", "8000", "--f0-max must be below Nyquist", ("process", "extract", "pitch")),
-    ("--pitch-window", "0.01", "--pitch-window 0.01 s is too short for --f0-min 50 Hz",
+    ("--f0-min", "20",
+     "--f0-min 20 Hz needs 802 samples, more than the 0.04 s pitch window (640 samples) holds",
      ("process", "extract", "pitch")),
     ("--num-ceps", "40", "need 1 <= --num-ceps <= --num-filters", ("process", "extract")),
     ("--lo-freq", "9000", "need 0 <= --lo-freq < --hi-freq", ("process", "extract")),
@@ -236,7 +233,7 @@ UNUSABLE_SETTINGS = [
      "--augment-shifts -1e+06 gives --f0-def 100 Hz a target f0 too high to be a finite"
      " number", ("process",)),
     # Without --normalize every warp is known, so an empty filter is too.
-    ("--num-filters", "200", "--num-filters 200 at --dft-size 512: warp 0 filter rows",
+    ("--num-filters", "200", "--num-filters 200: warp 0 filter rows",
      ("process", "extract")),
     ("--augment-shifts", "0,200",
      "--augment-shifts 200 must be below 150.5 Mel, the Mel value of --f0-def 100 Hz,"
@@ -271,6 +268,30 @@ def test_unusable_setting_fails_before_any_audio(tmp_path, capsys, flag, value, 
     for command in commands:
         assert main([command, *inputs[command], flag, value]) == EXIT_USAGE, command
         assert capsys.readouterr().err.startswith(f"f0warp: error: {message}"), command
+        assert not out.exists(), command
+
+
+# Neither the DFT length nor the pitch window is settable: a flag for
+# either is unknown, even with the constant's own value.
+@pytest.mark.parametrize("flag, value, commands", [
+    ("--dft-size", "512", ("process", "extract")),
+    ("--pitch-window", "0.04", ("process", "extract", "pitch")),
+], ids=["--dft-size", "--pitch-window"])
+def test_removed_flag_is_a_usage_error(tmp_path, capsys, flag, value, commands):
+    (entry,) = make_wav_dataset(tmp_path, (120.0,))
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, [entry])
+    out = tmp_path / "out"
+    inputs = {
+        "process": ["--manifest", str(manifest), "--out", str(out)],
+        "extract": ["--in", entry["audio"], "--out", str(out)],
+        "pitch": ["--in", entry["audio"], "--csv", str(out)],
+    }
+    for command in commands:
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *inputs[command], flag, value])
+        assert excinfo.value.code == EXIT_USAGE, command
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, command
         assert not out.exists(), command
 
 
@@ -511,6 +532,21 @@ def test_process_end_to_end(tmp_path, capsys):
     assert info["records"] == 14
     assert info["variants_per_utterance"] == 7
     assert (out_dir / "index.jsonl").exists()
+
+
+def test_process_reads_a_manifest_saved_with_a_bom(tmp_path, capsys):
+    # Editors on Windows often save UTF-8 with a byte-order mark; it is not
+    # part of the first line's JSON.
+    plain = tmp_path / "m.jsonl"
+    write_manifest(plain, make_wav_dataset(tmp_path, (95.0, 240.0)))
+    bom = tmp_path / "bom.jsonl"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for manifest in (plain, bom):
+        code = main(["process", "--manifest", str(manifest), "--out",
+                     str(tmp_path / manifest.stem), "--normalize", "--augment-shifts", "0,20"])
+        assert code == EXIT_OK, manifest.name
+    assert _last_json(capsys)["records"] == 4
+    assert archive_contents(tmp_path / "bom") == archive_contents(tmp_path / "m")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

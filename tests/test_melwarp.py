@@ -22,7 +22,7 @@ from f0warp import (
     power_spectrum,
     warp_bin_mels,
 )
-from f0warp.melwarp import LOG_MEL, SPECTRUM_BLOCK, WARPED_HI_FREQ, _dct_basis
+from f0warp.melwarp import DFT_SIZE, LOG_MEL, SPECTRUM_BLOCK, WARPED_HI_FREQ, _dct_basis
 
 SR = 16000
 
@@ -108,7 +108,7 @@ class TestComputeWarp:
 
 class TestWarpBinMels:
     def test_zero_shift_is_plain_mel(self):
-        (coords,) = warp_bin_mels(512, identity_warp())
+        (coords,) = warp_bin_mels(identity_warp())
         freqs = np.arange(257) * (SR / 512)
         assert np.array_equal(coords, hz_to_mel(freqs))
 
@@ -118,33 +118,32 @@ class TestWarpBinMels:
 
     @pytest.mark.parametrize("delta", [-250.0, -17.5, 0.0, 88.0, 250.0])
     def test_strictly_increasing(self, delta):
-        (coords,) = warp_bin_mels(512, WarpSpec(100.0, 100.0, delta))
+        (coords,) = warp_bin_mels(WarpSpec(100.0, 100.0, delta))
         assert np.all(np.diff(coords) > 0)
 
     def test_stack_rows_equal_single_warps(self):
         warps = [WarpSpec(100.0, 100.0, d) for d in (-250.0, 0.0, 17.5, 250.0)]
-        stack = warp_bin_mels(512, *warps)
+        stack = warp_bin_mels(*warps)
         assert stack.shape == (4, 257)
         for row, warp in zip(stack, warps):
-            assert np.array_equal(row[None], warp_bin_mels(512, warp))
+            assert np.array_equal(row[None], warp_bin_mels(warp))
 
 
 class TestFilterbank:
     def test_default_config_all_rows_nonempty(self):
         cfg = FeatureConfig()
-        (weights,) = build_filterbank(cfg, warp_bin_mels(512, identity_warp()))
+        (weights,) = build_filterbank(cfg, warp_bin_mels(identity_warp()))
         assert weights.shape == (23, 257)
         assert np.all((weights >= 0) & (weights <= 1))
         assert np.all((weights > 0).any(axis=1))
 
     def test_centers_equally_spaced(self):
-        # On a 2**16-point grid each row peaks at the bin nearest its
-        # center, so the peaks are span / (num_filters + 1) Mels apart to
-        # within the grid's step in Mels.
-        cfg = FeatureConfig(dft_size=2**16)
-        stack = warp_bin_mels(cfg.dft_size, identity_warp())
-        (coords,) = stack
-        (weights,) = build_filterbank(cfg, stack)
+        # On the bins of a 2**16-point DFT each row peaks at the bin
+        # nearest its center, so the peaks are span / (num_filters + 1) Mels
+        # apart to within the grid's step in Mels.
+        cfg = FeatureConfig()
+        coords = hz_to_mel(np.arange(2**15 + 1) * (SR / 2**16))
+        (weights,) = build_filterbank(cfg, coords[None])
         peaks = coords[np.argmax(weights, axis=1)]
         span = hz_to_mel(cfg.hi_freq) - hz_to_mel(cfg.lo_freq)
         step = np.max(np.diff(coords))
@@ -154,14 +153,14 @@ class TestFilterbank:
     def test_fig1_style_config_builds(self, delta):
         cfg = FeatureConfig(num_filters=15, lo_freq=20.0, hi_freq=6000.0)
         (weights,) = build_filterbank(
-            cfg, warp_bin_mels(512, WarpSpec(100.0, 100.0, delta))
+            cfg, warp_bin_mels(WarpSpec(100.0, 100.0, delta))
         )
         assert weights.shape[0] == 15
 
     def test_max_positive_shift_stays_below_nyquist(self):
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
         (weights,) = build_filterbank(
-            cfg, warp_bin_mels(512, WarpSpec(100.0, 100.0, 250.0))
+            cfg, warp_bin_mels(WarpSpec(100.0, 100.0, 250.0))
         )
         top_bin = np.flatnonzero((weights > 0).any(axis=0)).max()
         assert top_bin * SR / 512 <= 8000.0
@@ -173,14 +172,14 @@ class TestFilterbank:
         # cannot fill them.
         cfg = FeatureConfig(lo_freq=20.0, hi_freq=200.0)
         with pytest.raises(EmptyFilter):
-            build_filterbank(cfg, warp_bin_mels(512, identity_warp()))
+            build_filterbank(cfg, warp_bin_mels(identity_warp()))
 
     def test_mirrored_bins_fill_lowest_filter_at_max_negative_shift(self):
         # At -250 Mels even bin 0 sits above the lowest filter (31.75 to
         # 244 Mels); its energy comes from the negative-frequency twins of
         # bins 1.., folded onto those bins.
         cfg = FeatureConfig(hi_freq=WARPED_HI_FREQ)
-        stack = warp_bin_mels(512, WarpSpec(100.0, 100.0, -250.0))
+        stack = warp_bin_mels(WarpSpec(100.0, 100.0, -250.0))
         (coords,) = stack
         assert coords[0] > 244.0
         (weights,) = build_filterbank(cfg, stack)
@@ -196,7 +195,7 @@ class TestFilterbank:
         # every row: only warps 1 and 3 of the stack are named.
         cfg = FeatureConfig(lo_freq=20.0, hi_freq=400.0)
         stack = warp_bin_mels(
-            512, *(WarpSpec(100.0, 100.0, d) for d in (100.0, 0.0, 250.0, -100.0))
+            *(WarpSpec(100.0, 100.0, d) for d in (100.0, 0.0, 250.0, -100.0))
         )
         with pytest.raises(EmptyFilter) as info:
             build_filterbank(cfg, stack)
@@ -205,18 +204,14 @@ class TestFilterbank:
         )
 
     def test_three_dimensional_bins_rejected(self):
-        stack = warp_bin_mels(512, identity_warp())
+        stack = warp_bin_mels(identity_warp())
         with pytest.raises(ValueError):
             build_filterbank(FeatureConfig(), stack[None])
 
     def test_one_dimensional_bins_rejected(self):
-        (coords,) = warp_bin_mels(512, identity_warp())
+        (coords,) = warp_bin_mels(identity_warp())
         with pytest.raises(ValueError):
             build_filterbank(FeatureConfig(), coords)
-
-    def test_wrong_bin_count_rejected(self):
-        with pytest.raises(ValueError):
-            build_filterbank(FeatureConfig(), warp_bin_mels(256, identity_warp()))
 
     def test_unsorted_bins_rejected(self):
         cfg = FeatureConfig()
@@ -261,16 +256,16 @@ class TestFraming:
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
-        assert np.all(power_spectrum(np.zeros((1, 400)), 512) == 0)
+        assert np.all(power_spectrum(np.zeros((1, 400))) == 0)
 
     def test_unit_impulse_is_flat(self):
         frame = np.zeros((1, 400))
         frame[0, 0] = 1.0
-        assert np.allclose(power_spectrum(frame, 512), 1.0)
+        assert np.allclose(power_spectrum(frame), 1.0)
 
     def test_parseval(self, rng):
         frame = rng.standard_normal(400)
-        (ps,) = power_spectrum(frame[None], 512)
+        (ps,) = power_spectrum(frame[None])
         # reconstruct the full-DFT energy from the one-sided spectrum
         full_energy = ps[0] + ps[-1] + 2 * ps[1:-1].sum()
         oracle = np.sum(np.abs(np.fft.fft(frame, 512)) ** 2)
@@ -279,11 +274,11 @@ class TestPowerSpectrum:
 
     def test_frame_longer_than_dft_rejected(self):
         with pytest.raises(ValueError):
-            power_spectrum(np.zeros((1, 600)), 512)
+            power_spectrum(np.zeros((1, 600)))
 
     def test_one_dimensional_frame_rejected(self):
         with pytest.raises(ValueError):
-            power_spectrum(np.zeros(400), 512)
+            power_spectrum(np.zeros(400))
 
     @pytest.mark.parametrize(
         "n_frames",
@@ -295,7 +290,7 @@ class TestPowerSpectrum:
         frames = rng.standard_normal((n_frames, 400))
         spec = np.fft.rfft(frames, n=512, axis=-1)
         one_shot = spec.real ** 2 + spec.imag ** 2
-        ps = power_spectrum(frames, 512)
+        ps = power_spectrum(frames)
         assert ps.shape == (n_frames, 257)
         assert np.array_equal(ps, one_shot)
 
@@ -409,9 +404,11 @@ class TestExtractFeatures:
             FeatureConfig(hi_freq=9000.0)
 
     def test_dft_smaller_than_window_rejected(self):
-        message = r"dft_size 256 is shorter than window 0.025 s \(400 samples\)"
+        # 32 ms is the whole 512-point DFT; one sample more is too long.
+        assert FeatureConfig(window=DFT_SIZE / SR).in_samples()[0] == DFT_SIZE
+        message = r"window 0.0320625 s \(513 samples\) is longer than the 512-point DFT"
         with pytest.raises(ValueError, match=message):
-            FeatureConfig(dft_size=256)
+            FeatureConfig(window=(DFT_SIZE + 1) / SR)
 
 
 class TestFeatureConfigValidation:

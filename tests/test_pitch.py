@@ -62,7 +62,7 @@ class TestDetector:
         tone = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(SR // 2) / SR)
         x = np.concatenate([np.full(SR // 2, 0.1), tone])
         track = detect_pitch(AudioBuffer(x))
-        win = round(PitchConfig().window * SR)
+        win = round(pitch.PITCH_WINDOW * SR)
         for t, frame in enumerate(track.frames):
             start = round(t * PitchConfig().shift * SR)
             if start + win <= SR // 2:
@@ -135,7 +135,7 @@ class TestDetector:
                             np.full(SR // 2, after)])
         cfg = PitchConfig(shift=0.010)
         track = detect_pitch(AudioBuffer(x), cfg)
-        win = round(cfg.window * SR)
+        win = round(pitch.PITCH_WINDOW * SR)
         flat = 0
         for t, frame in enumerate(track.frames):
             start = round(t * cfg.shift * SR)
@@ -358,15 +358,15 @@ class TestPitchConfig:
             {"f0_min": 0.0},
             {"f0_min": 500.0, "f0_max": 400.0},
             {"voicing_threshold": 1.5},
-            {"window": -0.01},
+            {"f0_min": -10.0},
             {"shift": 0.0},
             {"f0_max": np.inf},
-            {"window": np.inf},
+            {"f0_min": np.inf},
             {"shift": np.nan},
             {"f0_max": 8000.0},
             {"shift": 0.00001},
-            {"window": 0.01},
-            {"f0_min": 60.0, "window": 0.0167},
+            {"f0_min": 20.0},
+            {"f0_min": 25.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

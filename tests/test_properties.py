@@ -29,7 +29,7 @@ from f0warp import (
     warp_bin_mels,
 )
 from f0warp import _kernels
-from f0warp.melwarp import LOG_MEL, MAX_ABS_SHIFT_MEL, MFCC, WARPED_HI_FREQ
+from f0warp.melwarp import DFT_SIZE, LOG_MEL, MAX_ABS_SHIFT_MEL, MFCC, WARPED_HI_FREQ
 from f0warp.pitch import DIP_THRESHOLD, _pick_lags
 from tests.conftest import archive_contents
 from tests.synthkit import (
@@ -77,7 +77,6 @@ configs = st.builds(
     FeatureConfig,
     window=st.sampled_from([0.02, 0.025, 0.032]),
     hop=st.sampled_from([0.005, 0.01, 0.02]),
-    dft_size=st.sampled_from([512, 1024]),
     num_filters=st.integers(13, 30),
     lo_freq=st.floats(0.0, 200.0),
     hi_freq=st.just(WARPED_HI_FREQ),
@@ -159,7 +158,6 @@ def test_fan_out_equals_single_extraction(buffer, cfg, warps):
 @given(
     st.builds(
         FeatureConfig,
-        dft_size=st.sampled_from([512, 1024]),
         num_filters=st.integers(13, 40),
         lo_freq=st.floats(0.0, 300.0),
         hi_freq=st.floats(3000.0, WARPED_HI_FREQ),
@@ -170,20 +168,17 @@ def test_every_filter_nonempty_below_nyquist(cfg, delta):
     """c5: any shift in +/-250 Mels under a ceiling up to 6200 Hz keeps
     every filter row nonempty and the topmost contributing bin at or below
     8000 Hz."""
-    (weights,) = build_filterbank(
-        cfg, warp_bin_mels(cfg.dft_size, WarpSpec(100.0, 100.0, delta))
-    )
-    assert weights.shape == (cfg.num_filters, cfg.dft_size // 2 + 1)
+    (weights,) = build_filterbank(cfg, warp_bin_mels(WarpSpec(100.0, 100.0, delta)))
+    assert weights.shape == (cfg.num_filters, DFT_SIZE // 2 + 1)
     assert np.all((weights > 0).any(axis=1))
     top_bin = np.flatnonzero((weights > 0).any(axis=0)).max()
-    assert top_bin * SR / cfg.dft_size <= 8000.0
+    assert top_bin * SR / DFT_SIZE <= 8000.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.builds(
         FeatureConfig,
-        dft_size=st.sampled_from([512, 1024]),
         num_filters=st.integers(13, 40),
         lo_freq=st.floats(0.0, 300.0),
         hi_freq=st.floats(3000.0, WARPED_HI_FREQ),
@@ -194,10 +189,10 @@ def test_stacked_filterbank_rows_equal_single_builds(cfg, deltas):
     """A stack of bin coordinates builds, in one call, each warp's
     filterbank exactly as a one-row stack of that warp does."""
     warps = [WarpSpec(100.0, 100.0, d) for d in deltas]
-    stacked = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, *warps))
-    assert stacked.shape == (len(deltas), cfg.num_filters, cfg.dft_size // 2 + 1)
+    stacked = build_filterbank(cfg, warp_bin_mels(*warps))
+    assert stacked.shape == (len(deltas), cfg.num_filters, DFT_SIZE // 2 + 1)
     for weights, warp in zip(stacked, warps):
-        alone = build_filterbank(cfg, warp_bin_mels(cfg.dft_size, warp))
+        alone = build_filterbank(cfg, warp_bin_mels(warp))
         assert np.array_equal(weights[None], alone)
 
 
